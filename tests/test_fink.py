@@ -25,9 +25,20 @@ from sherman_bounds import (
     sherman_difference_identity,
     sherman_strong,
 )
+from sherman_bounds import fink
 from helpers import fsum_dot, gauss_legendre, random_chain_instance
 
 EXP01 = function_from_name("exp", (0.0, 1.0))
+
+
+def fsum_kernel_weight(t, x, y, n, alpha, beta, right_limit=False) -> float:
+    """``W(t)`` point by point: every data point's term, summed by fsum."""
+    terms = []
+    for v, sign in ((x, 1.0), (y, -1.0)):
+        for p, w in zip(v.points.tolist(), v.weights.tolist()):
+            on_alpha = t < p if right_limit else t <= p
+            terms.append(sign * w * (p - t) ** (n - 1) * ((t - alpha) if on_alpha else (t - beta)))
+    return math.fsum(terms)
 
 
 def steep_spec(rate: float = 8.0) -> FunctionSpec:
@@ -109,6 +120,14 @@ class TestFinkIdentity:
         with pytest.raises(QuadratureFailure):
             fink_identity_check(steep_spec(), 0.37, 2, cfg)
 
+    def test_budget_message_names_the_applied_threshold(self, monkeypatch):
+        # value 1e3 makes the relative threshold 10 * 1e-9 * 1e3 = 1e-5 apply
+        monkeypatch.setattr(fink, "quad", lambda *args, **kwargs: (1e3, 1.0, {"neval": 21}))
+        with pytest.raises(QuadratureFailure) as info:
+            fink_identity_check(EXP01, 0.5, 1)
+        assert f"exceeds budget {max(10 * 1e-9, 10 * 1e-9 * 1e3)}" in str(info.value)
+        assert "1e-09" not in str(info.value)
+
 
 class TestKernelCondition:
     def test_identical_pair_is_flat_zero(self):
@@ -150,6 +169,84 @@ class TestKernelCondition:
             check_kernel_condition(v, v, 0)
         with pytest.raises(ValueError):
             check_kernel_condition(v, v, 2, t_grid_size=1)
+
+
+class TestPiecewiseKernelWeight:
+    """The piecewise-polynomial weight against a point-by-point fsum of W."""
+
+    @staticmethod
+    def pairs():
+        rng = np.random.default_rng(48)
+        for _ in range(12):
+            x, y, _ = random_chain_instance(rng, (0.0, 1.0))
+            yield x, y, (0.0, 1.0)
+        # tied points across the two sides
+        yield (
+            WeightedVector([0.2, 0.5, 0.5, 0.8], [1.0, 0.5, 0.25, 1.0]),
+            WeightedVector([0.35, 0.5, 0.8, 0.65], [0.75, 1.0, 0.5, 0.5]),
+            (0.0, 1.0),
+        )
+        # points exactly at alpha and beta, on a wider non-unit interval
+        yield (
+            WeightedVector([-1.5, 0.25, 2.25], [0.5, 1.0, 0.75]),
+            WeightedVector([-1.5, 0.5, 1.0, 2.25], [0.25, 0.75, 0.5, 0.75]),
+            (-1.5, 2.25),
+        )
+        # unequal masses: at n = 1 the supremum 0.5 is only a right limit
+        yield WeightedVector([0.5], [1.0]), WeightedVector([0.5], [2.0]), (0.0, 1.0)
+        # the default interval: the hull of the data points
+        x = WeightedVector([0.3, 0.6, 0.9], [1.0, 2.0, 0.5])
+        y = WeightedVector([0.45, 0.55, 0.7], [1.0, 1.5, 1.0])
+        yield x, y, None
+
+    @staticmethod
+    def hull(x, y):
+        pts = np.concatenate([x.points, y.points])
+        return float(pts.min()), float(pts.max())
+
+    def test_values_and_right_limits_match_fsum(self):
+        for x, y, interval in self.pairs():
+            lo, hi = interval if interval is not None else self.hull(x, y)
+            breaks = np.concatenate([x.points, y.points])
+            nodes = np.unique(np.concatenate([np.linspace(lo, hi, 101), breaks]))
+            mass = math.fsum(np.abs(x.weights)) + math.fsum(np.abs(y.weights))
+            for n in range(1, 6):
+                tol = 1e-13 * mass * (hi - lo) ** n
+                weight = fink._KernelWeight(x, y, n, lo, hi)
+                for t, w in zip(nodes.tolist(), weight.values(nodes).tolist()):
+                    assert abs(w - fsum_kernel_weight(t, x, y, n, lo, hi)) <= tol
+                for t, w in zip(breaks.tolist(), weight.values(breaks, "right").tolist()):
+                    assert abs(w - fsum_kernel_weight(t, x, y, n, lo, hi, right_limit=True)) <= tol
+                # the identity's per-piece integrands, at each piece's midpoint
+                cuts = np.unique(np.concatenate([[lo, hi], breaks[(breaks > lo) & (breaks < hi)]]))
+                for integrand, a, b in weight.integrands(lambda t: 1.0, cuts):
+                    mid = 0.5 * (a + b)
+                    assert abs(integrand(mid) - fsum_kernel_weight(mid, x, y, n, lo, hi)) <= tol
+
+    def test_scan_extremes_match_fsum(self):
+        for x, y, interval in self.pairs():
+            lo, hi = interval if interval is not None else self.hull(x, y)
+            breaks = np.concatenate([x.points, y.points])
+            nodes = np.unique(np.concatenate([np.linspace(lo, hi, 1001), breaks]))
+            mass = math.fsum(np.abs(x.weights)) + math.fsum(np.abs(y.weights))
+            for n in range(1, 6):
+                oracle = [fsum_kernel_weight(t, x, y, n, lo, hi) for t in nodes.tolist()]
+                oracle += [
+                    fsum_kernel_weight(t, x, y, n, lo, hi, right_limit=True)
+                    for t in breaks.tolist()
+                ]
+                cond = check_kernel_condition(x, y, n, interval=interval)
+                tol = 1e-13 * mass * (hi - lo) ** n
+                assert abs(cond.min_value - min(oracle)) <= tol
+                assert abs(cond.max_value - max(oracle)) <= tol
+                assert cond.grid_size == 1001
+
+    def test_identical_sides_are_exactly_zero(self):
+        for x, _, interval in self.pairs():
+            for n in range(1, 6):
+                cond = check_kernel_condition(x, x, n, interval=interval)
+                assert cond.min_value == cond.max_value == 0.0
+                assert cond.classification == "nonnegative"
 
 
 class TestDifferenceIdentity:
@@ -272,6 +369,46 @@ class TestHigherOrderBound:
             higher_order_sherman_bound(x, y, EXP01, 2, 2.0)
         bound = higher_order_sherman_bound(x, y, EXP01, 2, 2.0, unchecked_modulus=True)
         assert not bound.holds  # the claim really is false for this pair
+
+    def test_bound_makes_no_quad_call_and_one_scan(self, monkeypatch):
+        counts = {"quad": 0, "scan": 0}
+        real_quad, real_scan = fink.quad, fink.check_kernel_condition
+
+        def counting_quad(*args, **kwargs):
+            counts["quad"] += 1
+            return real_quad(*args, **kwargs)
+
+        def counting_scan(*args, **kwargs):
+            counts["scan"] += 1
+            return real_scan(*args, **kwargs)
+
+        monkeypatch.setattr(fink, "quad", counting_quad)
+        monkeypatch.setattr(fink, "check_kernel_condition", counting_scan)
+        rng = np.random.default_rng(49)
+        x, y, _ = random_chain_instance(rng, (0.0, 1.0))
+        for n, c in ((2, 0.5), (4, 1.0 / 24.0)):
+            counts.update(quad=0, scan=0)
+            assert higher_order_sherman_bound(x, y, EXP01, n, c).holds
+            assert counts == {"quad": 0, "scan": 1}
+        # the wrappers are live: the identity itself integrates
+        counts.update(quad=0, scan=0)
+        sherman_difference_identity(x, y, EXP01, 2)
+        assert counts["quad"] > 0 and counts["scan"] == 1
+
+    def test_bound_keeps_the_identity_guards(self):
+        # the moment-mismatch pairs of test_moment_guards; their order-4
+        # kernel is one-signed, so the guard is what refuses them
+        x = WeightedVector([0.2, 0.8], [1.0, 1.0])
+        for other in (WeightedVector([0.5], [2.5]), WeightedVector([0.6, 0.6], [1.0, 1.0])):
+            cond = check_kernel_condition(x, other, 4, interval=(0.0, 1.0))
+            assert cond.classification == "nonnegative"
+            with pytest.raises(MajorizationNotVerified):
+                higher_order_sherman_bound(x, other, EXP01, 4, 0.0)
+        only_one = FunctionSpec("f", math.exp, (math.exp,), (0.0, 1.0))
+        rng = np.random.default_rng(50)
+        x, y, _ = random_chain_instance(rng, (0.0, 1.0))
+        with pytest.raises(MissingDerivative):
+            higher_order_sherman_bound(x, y, only_one, 2, 0.0, unchecked_modulus=True)
 
     def test_negative_modulus_rejected(self):
         v = WeightedVector([0.5], [1.0])
