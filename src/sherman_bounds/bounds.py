@@ -37,7 +37,12 @@ from .errors import (
     ModulusNotCertified,
     WeightsNotNormalized,
 )
-from .majorization import StochasticMatrix, WeightedVector, verify_weighted_majorization
+from .majorization import (
+    StochasticMatrix,
+    VerificationResult,
+    WeightedVector,
+    verify_weighted_majorization,
+)
 
 #: An inequality of the chain counts as violated only beyond this slack.
 CHAIN_SLACK = 1e-9
@@ -92,6 +97,7 @@ class BoundChain:
         fuchs_case: True when both sides have equally many points and all
             weights share one value (the classical equal-weight setting).
         warnings: Human-readable notes (degenerate weights and similar).
+        verification: The witness check of :func:`full_chain`; not reported.
     """
 
     lhs: float
@@ -104,6 +110,7 @@ class BoundChain:
     chain_holds: bool
     fuchs_case: bool = False
     warnings: tuple[str, ...] = ()
+    verification: Optional[VerificationResult] = None
 
     def to_dict(self) -> dict:
         """Flat JSON-ready mapping of every field."""
@@ -180,8 +187,14 @@ def _check_normalized(weights: np.ndarray) -> None:
         raise WeightsNotNormalized(f"weights sum to {total}, expected 1 within {WEIGHT_SUM_TOL}")
 
 
-def _evaluate(spec: FunctionSpec, points: np.ndarray) -> np.ndarray:
-    return np.array([spec.evaluator(float(t)) for t in points], dtype=float)
+def _verified(x, y, matrix: StochasticMatrix, tol: float) -> VerificationResult:
+    result = verify_weighted_majorization(x, y, matrix, tol)
+    if not result.passed:
+        raise MajorizationNotVerified(
+            f"witness residuals (weights {result.weight_residual}, "
+            f"points {result.point_residual}) exceed {tol}"
+        )
+    return result
 
 
 def _endpoint_width(spec: FunctionSpec) -> float:
@@ -217,11 +230,10 @@ def jensen_strong(
     pts = x.points
     wts = x.weights
     xbar = float(wts @ pts)
-    fx = _evaluate(spec, pts)
     variance = float(wts @ ((pts - xbar) ** 2))
     return JensenBound(
-        lhs=spec.evaluator(xbar),
-        rhs=float(wts @ fx) - modulus * variance,
+        lhs=float(spec.evaluator(xbar)),
+        rhs=float(wts @ spec.evaluate(pts)) - modulus * variance,
         variance_term=variance,
     )
 
@@ -253,10 +265,9 @@ def lah_ribaric_strong(
     pts = x.points
     wts = x.weights
     xbar = float(wts @ pts)
-    fx = _evaluate(spec, pts)
     chord = ((be - xbar) * spec.evaluator(al) + (xbar - al) * spec.evaluator(be)) / width
     correction = modulus * float(wts @ ((be - pts) * (pts - al)))
-    return LahRibaricBound(lhs=float(wts @ fx), rhs=chord - correction)
+    return LahRibaricBound(lhs=float(wts @ spec.evaluate(pts)), rhs=float(chord - correction))
 
 
 def converse_sherman_strong(
@@ -290,7 +301,7 @@ def converse_sherman_strong(
         + (sax - total_weight * al) * spec.evaluator(be)
     ) / width
     correction = modulus * float(wts @ ((be - pts) * (pts - al)))
-    return chord - correction
+    return float(chord - correction)
 
 
 class ShermanBound(NamedTuple):
@@ -329,19 +340,14 @@ def sherman_strong(
     spec.require_inside(x.points)
     spec.require_inside(y.points)
     if matrix is not None:
-        result = verify_weighted_majorization(x, y, matrix, tol)
-        if not result.passed:
-            raise MajorizationNotVerified(
-                f"witness residuals (weights {result.weight_residual}, "
-                f"points {result.point_residual}) exceed {tol}"
-            )
+        _verified(x, y, matrix, tol)
     elif not assume_majorized:
         raise MajorizationNotVerified(
             "pass a stochastic witness matrix or set assume_majorized=True"
         )
     modulus, _ = resolve_modulus(spec, c, certificate, unchecked=unchecked_modulus)
-    lhs = float(y.weights @ _evaluate(spec, y.points))
-    plain = float(x.weights @ _evaluate(spec, x.points))
+    lhs = float(y.weights @ spec.evaluate(y.points))
+    plain = float(x.weights @ spec.evaluate(x.points))
     delta = float(x.weights @ (x.points * x.points)) - float(y.weights @ (y.points * y.points))
     correction = modulus * delta
     return ShermanBound(
@@ -387,12 +393,7 @@ def full_chain(
     """
     spec.require_inside(x.points)
     spec.require_inside(y.points)
-    result = verify_weighted_majorization(x, y, matrix, tol)
-    if not result.passed:
-        raise MajorizationNotVerified(
-            f"witness residuals (weights {result.weight_residual}, "
-            f"points {result.point_residual}) exceed {tol}"
-        )
+    result = _verified(x, y, matrix, tol)
     modulus, _ = resolve_modulus(spec, c, certificate, unchecked=unchecked_modulus)
     width = _endpoint_width(spec)
     al, be = spec.interval
@@ -402,10 +403,8 @@ def full_chain(
     if total <= 0.0:
         warnings.append("all weights are zero; every sum in the chain is vacuous")
 
-    fx = _evaluate(spec, x.points)
-    fy = _evaluate(spec, y.points)
-    lhs = float(y.weights @ fy)
-    plain = float(x.weights @ fx)
+    lhs = float(y.weights @ spec.evaluate(y.points))
+    plain = float(x.weights @ spec.evaluate(x.points))
     delta = float(x.weights @ (x.points * x.points)) - float(y.weights @ (y.points * y.points))
     correction_quadratic = modulus * delta
     strong = plain - correction_quadratic
@@ -427,11 +426,12 @@ def full_chain(
         lhs=lhs,
         strong_bound=strong,
         plain_bound=plain,
-        converse_bound=converse,
+        converse_bound=float(converse),
         correction_quadratic=correction_quadratic,
         correction_converse=correction_converse,
         modulus=modulus,
         chain_holds=chain_holds,
         fuchs_case=fuchs,
         warnings=tuple(warnings),
+        verification=result,
     )

@@ -55,6 +55,7 @@ from .errors import (
 from .fink import QuadratureConfig, sherman_difference_identity
 from .majorization import (
     StochasticMatrix,
+    VerificationResult,
     WeightedVector,
     generate_weighted_pair,
     majorizes,
@@ -235,6 +236,10 @@ def _cert_dict(cert: ModulusCertificate) -> dict:
     }
 
 
+def _verification_dict(result: VerificationResult) -> dict:
+    return {key: getattr(result, key) for key in ("weight_residual", "point_residual", "tol")}
+
+
 def _hull_interval(config: RunConfig, points: np.ndarray) -> tuple[float, float]:
     if config.interval is not None:
         return config.interval
@@ -272,7 +277,6 @@ def _run_chain(config: RunConfig):
     logger.info("chain: modulus certificate %s", certificate)
     xv = WeightedVector(x, a, interval)
     yv = WeightedVector(y, b, interval)
-    verification = verify_weighted_majorization(xv, yv, matrix, MAJORIZE_TOL)
     chain = full_chain(
         xv, yv, matrix, spec, config.modulus,
         certificate=certificate, tol=MAJORIZE_TOL,
@@ -284,11 +288,7 @@ def _run_chain(config: RunConfig):
         result["a"] = [float(v) for v in a]
     certificates = {
         "modulus": _cert_dict(certificate),
-        "majorization": {
-            "weight_residual": verification.weight_residual,
-            "point_residual": verification.point_residual,
-            "tol": verification.tol,
-        },
+        "majorization": _verification_dict(chain.verification),
     }
     return result, certificates, list(chain.warnings), chain.chain_holds
 
@@ -358,11 +358,7 @@ def _run_verify_identity(config: RunConfig):
     if "A" in data:
         matrix = StochasticMatrix(_numeric_matrix(data["A"], "A"), "row")
         verification = verify_weighted_majorization(xv, yv, matrix, MAJORIZE_TOL)
-        certificates["majorization"] = {
-            "weight_residual": verification.weight_residual,
-            "point_residual": verification.point_residual,
-            "tol": verification.tol,
-        }
+        certificates["majorization"] = _verification_dict(verification)
     quad_cfg = QuadratureConfig(abs_tol=config.quad_tol, rel_tol=config.quad_tol)
     report = sherman_difference_identity(xv, yv, spec, config.order, quad_cfg)
     budget = RESIDUAL_BUDGET_FACTOR * config.quad_tol

@@ -55,9 +55,10 @@ class FunctionSpec:
 
     Attributes:
         name: Human-readable identifier used in reports and error messages.
-        evaluator: Callable returning ``f(t)`` for ``t`` in ``interval``.
+        evaluator: Callable returning ``f(t)`` for ``t`` in ``interval``,
+            elementwise when ``t`` is an array (see :meth:`evaluate`).
         derivatives: Tuple of callables; ``derivatives[k-1]`` evaluates
-            the k-th derivative.  May be empty.
+            the k-th derivative, with the same contract.  May be empty.
         interval: Closed interval ``(alpha, beta)`` with ``alpha < beta``.
     """
 
@@ -105,18 +106,38 @@ class FunctionSpec:
             )
         return self.derivatives[order - 1]
 
+    def evaluate(self, points, order: int = 0) -> np.ndarray:
+        """Values of the derivative of the given order (0 = f) at every point.
+
+        The callable is called once on the whole array.  One that rejects
+        arrays (``TypeError``/``ValueError``) or returns another shape, such
+        as ``math.exp``, is called point by point instead.
+        """
+        fn = self.derivative(order)
+        pts = np.asarray(points, dtype=float)
+        try:
+            values = np.asarray(fn(pts), dtype=float)
+        except (TypeError, ValueError):
+            values = None
+        if values is None or values.shape != pts.shape:
+            values = np.array([fn(t) for t in pts.ravel().tolist()], dtype=float)
+        return values.reshape(pts.shape)
+
     def require_inside(self, points) -> None:
         """Raise :class:`PointOutOfInterval` unless all points lie in the interval.
 
-        A relative slack of ``1e-12`` absorbs representation rounding.
+        A relative slack of ``1e-12`` absorbs representation rounding; NaN
+        is outside.  The message names the first offending point.
         """
         lo, hi = self.interval
         slack = 1e-12 * max(1.0, abs(lo), abs(hi))
-        for t in np.atleast_1d(np.asarray(points, dtype=float)):
-            if not (lo - slack <= t <= hi + slack):
-                raise PointOutOfInterval(
-                    f"point {t!r} outside interval [{lo}, {hi}] of {self.name}"
-                )
+        pts = np.asarray(points, dtype=float).ravel()
+        outside = ~((lo - slack <= pts) & (pts <= hi + slack))
+        if outside.any():
+            t = pts[np.argmax(outside)]
+            raise PointOutOfInterval(
+                f"point {t!r} outside interval [{lo}, {hi}] of {self.name}"
+            )
 
 
 def divided_difference(points, spec: FunctionSpec) -> float:
@@ -140,28 +161,30 @@ def divided_difference(points, spec: FunctionSpec) -> float:
         PointOutOfInterval: if a node leaves the interval.
         MissingDerivative: if coincident nodes need an unavailable order.
     """
-    pts = sorted(float(p) for p in np.atleast_1d(np.asarray(points, dtype=float)))
-    if not pts:
+    pts = np.sort(np.asarray(points, dtype=float).ravel())
+    if not pts.size:
         raise EmptyPoints("divided_difference needs at least one node")
-    spec.require_inside(pts)
-    col = [spec.evaluator(p) for p in pts]
-    n = len(pts)
-    for j in range(1, n):
-        nxt = []
-        for i in range(n - j):
-            lo, hi = pts[i], pts[i + j]
-            if hi == lo:
-                # j+1 coincident copies of lo: confluent limit f^(j)(lo)/j!
-                if spec.max_order < j:
-                    raise MissingDerivative(
-                        f"{j + 1} coincident nodes at {lo} need derivative "
-                        f"order {j}; {spec.name} provides {spec.max_order}"
-                    )
-                nxt.append(spec.derivative(j)(lo) / math.factorial(j))
-            else:
-                nxt.append((col[i + 1] - col[i]) / (hi - lo))
-        col = nxt
-    return col[0]
+    return float(_divided_differences(pts[None, :], spec)[0])
+
+
+def _divided_differences(nodes: np.ndarray, spec: FunctionSpec) -> np.ndarray:
+    """``[row; f]`` for every increasingly sorted row of ``nodes``, column-wise."""
+    spec.require_inside(nodes)
+    col = spec.evaluate(nodes)
+    for j in range(1, nodes.shape[1]):
+        lo, hi = nodes[:, :-j], nodes[:, j:]
+        tie = hi == lo
+        with np.errstate(divide="ignore", invalid="ignore"):
+            col = (col[:, 1:] - col[:, :-1]) / (hi - lo)
+        if tie.any():
+            # j+1 coincident copies of lo: confluent limit f^(j)(lo)/j!
+            if spec.max_order < j:
+                raise MissingDerivative(
+                    f"{j + 1} coincident nodes at {lo[tie][0]} need derivative "
+                    f"order {j}; {spec.name} provides {spec.max_order}"
+                )
+            col[tie] = spec.evaluate(lo[tie], j) / math.factorial(j)
+    return col[:, 0]
 
 
 @dataclass(frozen=True, slots=True)
@@ -204,10 +227,7 @@ def estimate_strong_modulus(
         raise ValueError(f"order must be >= 1, got {n}")
     if grid_size < 2:
         raise ValueError(f"grid_size must be >= 2, got {grid_size}")
-    deriv = spec.derivative(n)
-    fact = float(math.factorial(n))
-    grid = np.linspace(spec.alpha, spec.beta, grid_size)
-    vals = np.array([deriv(float(t)) for t in grid], dtype=float) / fact
+    vals = spec.evaluate(np.linspace(spec.alpha, spec.beta, grid_size), n) / math.factorial(n)
     if not np.all(np.isfinite(vals)):
         return ModulusCertificate(n, 0.0, grid_size, "indeterminate", float("nan"))
     gmin = float(vals.min())
@@ -237,18 +257,6 @@ class SampleVerdict:
     threshold: float
 
 
-def _stratified_nodes(rng: np.random.Generator, lo: float, hi: float, count: int):
-    # One node per equal-width stratum, kept 10% away from stratum edges:
-    # enforces pairwise gaps >= 0.2*(hi-lo)/count so the divided-difference
-    # table stays well conditioned near a zero of [z_0..z_n; f] - c.
-    width = (hi - lo) / count
-    pad = 0.1 * width
-    return tuple(
-        float(rng.uniform(lo + i * width + pad, lo + (i + 1) * width - pad))
-        for i in range(count)
-    )
-
-
 def _sampled_verdict(
     spec: FunctionSpec, n: int, c: float, sample_count: int, seed: int
 ) -> SampleVerdict:
@@ -257,19 +265,24 @@ def _sampled_verdict(
     if sample_count < 1:
         raise ValueError(f"sample_count must be >= 1, got {sample_count}")
     threshold = c - DIVIDED_DIFFERENCE_TOL
-    rng = np.random.default_rng(seed)
-    worst = math.inf
-    worst_pts: Optional[tuple[float, ...]] = None
-    for _ in range(sample_count):
-        pts = _stratified_nodes(rng, spec.alpha, spec.beta, n + 1)
-        val = divided_difference(pts, spec)
-        if val < worst:
-            worst = val
-            worst_pts = pts
+    # One node per equal-width stratum, kept 10% away from stratum edges:
+    # enforces pairwise gaps >= 0.2*(hi-lo)/(n+1) so the divided-difference
+    # table stays well conditioned near a zero of [z_0..z_n; f] - c.
+    width = (spec.beta - spec.alpha) / (n + 1)
+    edges = spec.alpha + np.arange(n + 2) * width
+    pad = 0.1 * width
+    nodes = np.random.default_rng(seed).uniform(
+        edges[:-1] + pad, edges[1:] - pad, (sample_count, n + 1)
+    )
+    # The first minimum is the witness; NaN never is.
+    values = _divided_differences(nodes, spec)
+    values[np.isnan(values)] = math.inf
+    index = int(np.argmin(values))
+    worst = float(values[index])
     passed = worst >= threshold
     return SampleVerdict(
         passed=passed,
-        witness=None if passed else worst_pts,
+        witness=None if passed else tuple(nodes[index].tolist()),
         worst_value=worst,
         samples=sample_count,
         threshold=threshold,
@@ -354,22 +367,11 @@ def check_derivative_consistency(
     h = (hi - lo) * 1e-5
     ts = np.linspace(lo + 2.0 * h, hi - 2.0 * h, grid_size)
     for k in range(1, spec.max_order + 1):
-        fk = spec.derivative(k)
-        fprev = spec.derivative(k - 1)
-        for t in ts:
-            t = float(t)
-            approx = (fprev(t + h) - fprev(t - h)) / (2.0 * h)
-            exact = fk(t)
-            if abs(approx - exact) > rel_tol * (abs(exact) + 1.0):
-                return False
+        approx = (spec.evaluate(ts + h, k - 1) - spec.evaluate(ts - h, k - 1)) / (2.0 * h)
+        exact = spec.evaluate(ts, k)
+        if np.any(np.abs(approx - exact) > rel_tol * (np.abs(exact) + 1.0)):
+            return False
     return True
-
-
-def _falling_factorial(a: float, k: int) -> float:
-    out = 1.0
-    for i in range(k):
-        out *= a - i
-    return out
 
 
 def _power_spec(name: str, exponent: float, interval, order: int) -> FunctionSpec:
@@ -385,20 +387,27 @@ def _power_spec(name: str, exponent: float, interval, order: int) -> FunctionSpe
 
     derivs: list[Evaluator] = []
     for k in range(1, order + 1):
-        coeff = _falling_factorial(exponent, k)
+        coeff = math.prod(exponent - i for i in range(k))
 
         def dk(t: float, _c=coeff, _p=exponent - k) -> float:
-            if _c == 0.0:
-                return 0.0
             return _c * t**_p
 
-        derivs.append(dk)
+        derivs.append(dk if coeff != 0.0 else constant(0.0))
     return FunctionSpec(name=name, evaluator=ev, derivatives=tuple(derivs), interval=tuple(interval))
 
 
+def constant(value: float) -> Evaluator:
+    """Evaluator of the constant ``value``, returning arrays for arrays."""
+
+    def const(t: float, _v=value) -> float:
+        return 0.0 * t + _v  # +0.0 for _v = 0, whatever the sign of t
+
+    return const
+
+
 def _exp_spec(interval, order: int) -> FunctionSpec:
-    derivs = tuple(math.exp for _ in range(order))
-    return FunctionSpec(name="exp", evaluator=math.exp, derivatives=derivs, interval=tuple(interval))
+    derivs = tuple(np.exp for _ in range(order))
+    return FunctionSpec(name="exp", evaluator=np.exp, derivatives=derivs, interval=tuple(interval))
 
 
 def _xlogx_spec(interval, order: int) -> FunctionSpec:
@@ -407,10 +416,10 @@ def _xlogx_spec(interval, order: int) -> FunctionSpec:
         raise ValidationError("xlogx needs a positive interval")
 
     def ev(t: float) -> float:
-        return t * math.log(t)
+        return t * np.log(t)
 
     def d1(t: float) -> float:
-        return math.log(t) + 1.0
+        return np.log(t) + 1.0
 
     derivs: list[Evaluator] = [d1]
     for k in range(2, order + 1):
@@ -430,7 +439,7 @@ def _neg_log_spec(interval, order: int) -> FunctionSpec:
         raise ValidationError("neg_log needs a positive interval")
 
     def ev(t: float) -> float:
-        return -math.log(t)
+        return -np.log(t)
 
     derivs: list[Evaluator] = []
     for k in range(1, order + 1):

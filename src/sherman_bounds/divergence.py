@@ -32,6 +32,7 @@ from .bounds import BoundChain, full_chain
 from .convexity import (
     FunctionSpec,
     ModulusCertificate,
+    constant,
     estimate_strong_modulus,
     function_from_name,
 )
@@ -165,18 +166,18 @@ def _build_generator(key: str, interval: tuple[float, float], order: int = 6):
         def chi(t: float) -> float:
             return (t - 1.0) * (t - 1.0)
 
-        derivs = [lambda t: 2.0 * (t - 1.0), lambda t: 2.0]
-        derivs += [lambda t: 0.0] * (order - 2)
+        derivs = [lambda t: 2.0 * (t - 1.0), constant(2.0)]
+        derivs += [constant(0.0)] * (order - 2)
         spec = FunctionSpec("chi_square", chi, tuple(derivs), interval)
         return spec, _STRONGLY_CONVEX
     if key == "hellinger":
 
         def hel(t: float) -> float:
-            s = math.sqrt(t) - 1.0
+            s = np.sqrt(t) - 1.0
             return 0.5 * s * s
 
         def hel1(t: float) -> float:
-            return 0.5 * (1.0 - 1.0 / math.sqrt(t))
+            return 0.5 * (1.0 - 1.0 / np.sqrt(t))
 
         derivs = [hel1] + _sqrt_derivs(-1.0, order)[1:]
         spec = FunctionSpec("hellinger", hel, tuple(derivs), interval)
@@ -184,7 +185,7 @@ def _build_generator(key: str, interval: tuple[float, float], order: int = 6):
     if key == "bhattacharya":
 
         def bha(t: float) -> float:
-            return -math.sqrt(t)
+            return -np.sqrt(t)
 
         spec = FunctionSpec("bhattacharya", bha, tuple(_sqrt_derivs(-1.0, order)), interval)
         return spec, _STRONGLY_CONVEX
@@ -270,7 +271,7 @@ def get_kernel(
             raise ModulusNotCertified(
                 f"kernel {key}: certification returned {certificate.verdict!r}"
             )
-    normalized = abs(spec.evaluator(1.0)) <= NORMALIZED_TOL
+    normalized = bool(abs(spec.evaluator(1.0)) <= NORMALIZED_TOL)
     return DivergenceKernel(
         name=key,
         generator=spec,
@@ -314,8 +315,7 @@ def csiszar_divergence(pair: DistributionPair, kernel: DivergenceKernel) -> floa
         RatioOutOfDomain: if a ratio leaves the generator's interval.
     """
     _require_ratios_inside(pair.ratios, kernel)
-    values = np.array([kernel.generator.evaluator(float(t)) for t in pair.ratios])
-    return float(pair.p @ values)
+    return float(pair.p @ kernel.generator.evaluate(pair.ratios))
 
 
 def _require_probability(values, label: str) -> np.ndarray:

@@ -167,7 +167,7 @@ def fink_identity_check(
     kernel_term = _integrate_pieces(
         [(integrand, lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:])], quad_cfg
     ) / (math.factorial(n - 1) * width)
-    return f(x) - (mean_term - boundary + kernel_term)
+    return float(f(x) - (mean_term - boundary + kernel_term))
 
 
 @dataclass(frozen=True, slots=True)
@@ -436,17 +436,15 @@ def _difference_terms(
 
     sa = math.fsum(x.weights)
     sb = math.fsum(y.weights)
-    max1 = math.fsum(w * p for w, p in zip(x.weights, x.points))
-    may1 = math.fsum(w * p for w, p in zip(y.weights, y.points))
+    max1 = math.fsum((x.weights * x.points).tolist())
+    may1 = math.fsum((y.weights * y.points).tolist())
     guard = 1e-9 * max(1.0, abs(sa), abs(max1))
     if abs(sa - sb) > guard:
         raise MajorizationNotVerified(f"total weights differ: {sa} vs {sb}")
     if abs(max1 - may1) > guard:
         raise MajorizationNotVerified(f"first moments differ: {max1} vs {may1}")
 
-    fx = np.array([spec.evaluator(float(t)) for t in x.points])
-    fy = np.array([spec.evaluator(float(t)) for t in y.points])
-    lhs = float(x.weights @ fx) - float(y.weights @ fy)
+    lhs = float(x.weights @ spec.evaluate(x.points)) - float(y.weights @ spec.evaluate(y.points))
 
     boundary = 0.0
     for w in range(2, n):
@@ -454,7 +452,7 @@ def _difference_terms(
         s_beta = float(x.weights @ (x.points - be) ** w) - float(y.weights @ (y.points - be) ** w)
         s_alpha = float(x.weights @ (x.points - al) ** w) - float(y.weights @ (y.points - al) ** w)
         boundary += (n - w) / math.factorial(w) * (dw(be) * s_beta - dw(al) * s_alpha) / width
-    return lhs, boundary
+    return lhs, float(boundary)
 
 
 class HigherOrderBound(NamedTuple):

@@ -121,7 +121,8 @@ class StochasticMatrix:
         low = arr.min()
         if low < -ENTRY_CLAMP_TOL:
             raise ValidationError(f"matrix entry {low} below clamping tolerance -{ENTRY_CLAMP_TOL}")
-        arr = np.where(arr < 0.0, 0.0, arr)
+        # One new array either way; -0.0 is not below zero and is kept.
+        arr = np.where(arr < 0.0, 0.0, arr) if low < 0.0 else arr.copy()
         if self.kind in ("row", "doubly"):
             dev = float(np.abs(arr.sum(axis=1) - 1.0).max())
             if dev > MATRIX_SUM_TOL:
@@ -130,7 +131,6 @@ class StochasticMatrix:
             dev = float(np.abs(arr.sum(axis=0) - 1.0).max())
             if dev > MATRIX_SUM_TOL:
                 raise ValidationError(f"column sums deviate from 1 by {dev} > {MATRIX_SUM_TOL}")
-        arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
 
@@ -243,16 +243,13 @@ def construct_doubly_stochastic(x, y, tol: float = DEFAULT_TOL) -> StochasticMat
         k = j + 1 + int(low[0])
         delta = min(v[j] - target[j], target[k] - v[k])
         lam = delta / (v[j] - v[k])  # v[j] > target[j] >= target[k] > v[k]
-        step = np.eye(m)
-        step[j, j] = 1.0 - lam
-        step[j, k] = lam
-        step[k, k] = 1.0 - lam
-        step[k, j] = lam
-        work = step @ work
-        v = step @ v
-    perm_x = np.eye(m)[ordx]
-    perm_y = np.eye(m)[ordy]
-    matrix = perm_y.T @ work @ perm_x
+        # The T-transform mixes rows j and k only: O(m) per step.
+        row_j, row_k = work[j].copy(), work[k]
+        work[j] = (1.0 - lam) * row_j + lam * row_k
+        work[k] = lam * row_j + (1.0 - lam) * row_k
+        v[j], v[k] = (1.0 - lam) * v[j] + lam * v[k], lam * v[j] + (1.0 - lam) * v[k]
+    matrix = np.empty((m, m))
+    matrix[np.ix_(ordy, ordx)] = work
     residual = float(np.abs(ya - matrix @ xa).max())
     if residual > 1e-10:
         raise NotMajorized(

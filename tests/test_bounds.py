@@ -23,6 +23,7 @@ from sherman_bounds import (
     lah_ribaric_strong,
     resolve_modulus,
     sherman_strong,
+    verify_weighted_majorization,
 )
 from helpers import fsum_dot, random_chain_instance, random_row_stochastic
 
@@ -331,6 +332,13 @@ class TestFullChain:
         witness = StochasticMatrix([[1.0]], "row")
         with pytest.raises(DegenerateInterval):
             full_chain(x, x, witness, spec, 0.0, unchecked_modulus=True)
+
+    def test_carries_its_witness_check(self):
+        rng = np.random.default_rng(37)
+        x, y, witness = random_chain_instance(rng, (0.0, 1.0))
+        chain = full_chain(x, y, witness, EXP01, tol=1e-10)
+        assert chain.verification == verify_weighted_majorization(x, y, witness, 1e-10)
+        assert "verification" not in chain.to_dict()
 
     def test_to_dict_is_flat_and_complete(self):
         rng = np.random.default_rng(36)

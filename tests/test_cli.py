@@ -116,6 +116,23 @@ class TestChainCommand:
         assert report["certificates"]["modulus"]["modulus"] == cert.modulus
         assert report["config"]["majorize_tol"] == 1e-9
 
+    def test_witness_verified_once(self, tmp_path, capsys, monkeypatch):
+        from sherman_bounds import bounds, majorization
+
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return majorization.verify_weighted_majorization(*args, **kwargs)
+
+        monkeypatch.setattr(bounds, "verify_weighted_majorization", counting)
+        monkeypatch.setattr(cli, "verify_weighted_majorization", counting)
+        path = write_json(tmp_path / "chain.json", CHAIN_INPUT)
+        code, report = run_cli(capsys, "chain", "--input", path, "--kernel", "exp")
+        assert code == 0
+        assert len(calls) == 1
+        assert report["certificates"]["majorization"]["tol"] == 1e-9
+
     def test_explicit_pair_accepted(self, tmp_path, capsys):
         x = np.array(CHAIN_INPUT["x"])
         b = np.array(CHAIN_INPUT["b"])

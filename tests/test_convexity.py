@@ -13,6 +13,7 @@ from sherman_bounds import (
     MissingDerivative,
     PointOutOfInterval,
     ValidationError,
+    catalog,
     check_derivative_consistency,
     divided_difference,
     estimate_strong_modulus,
@@ -302,3 +303,100 @@ class TestCatalog:
             function_from_name("neg_log", (0.0, 1.0))
         with pytest.raises(ValidationError):
             function_from_name("pow:0.5", (-1.0, 1.0))
+
+
+def assert_within_ulps(actual, expected, ulps=4):
+    actual = np.asarray(actual, dtype=float)
+    expected = np.asarray(expected, dtype=float)
+    spacing = np.spacing(np.maximum(np.abs(actual), np.abs(expected)))
+    assert np.all(np.abs(actual - expected) <= ulps * spacing)
+
+
+def catalog_specs():
+    specs = [
+        function_from_name(name, (0.5, 2.0))
+        for name in ("square", "exp", "xlogx", "neg_log", "linear", "pow:2.5", "pow:3")
+    ]
+    specs += [kernel.generator for kernel in catalog((0.1, 10.0))]
+    specs.append(shift_to_convex(function_from_name("exp", (0.5, 2.0)), 4, 0.02))
+    return specs
+
+
+class TestArrayEvaluation:
+    POINTS = np.random.default_rng(11).uniform(0.5, 2.0, 257)
+
+    def test_array_results_match_point_results(self):
+        for spec in catalog_specs():
+            for order in range(spec.max_order + 1):
+                fn = spec.derivative(order)
+                # Every catalog callable takes the array path, not the fallback.
+                assert np.shape(fn(self.POINTS)) == self.POINTS.shape, (spec.name, order)
+                point_values = [fn(float(t)) for t in self.POINTS]
+                assert_within_ulps(spec.evaluate(self.POINTS, order), point_values)
+
+    def test_scalar_only_callables_fall_back(self):
+        spec = FunctionSpec("f", math.exp, (math.exp, lambda t: 2.0), (0.0, 1.0))
+        pts = np.linspace(0.0, 1.0, 9)
+        assert np.array_equal(spec.evaluate(pts), [math.exp(t) for t in pts.tolist()])
+        assert np.array_equal(spec.evaluate(pts.reshape(3, 3), 2), np.full((3, 3), 2.0))
+        assert is_n_convex(spec, 2).passed
+        assert estimate_strong_modulus(spec, 2).modulus == 1.0
+
+    def test_require_inside_rejects_nan_and_names_first_bad_point(self):
+        with pytest.raises(PointOutOfInterval, match="nan"):
+            EXP03.require_inside(np.array([1.0, math.nan, 2.0]))
+        with pytest.raises(PointOutOfInterval, match=r"point \S*5\.5\S* outside") as info:
+            EXP03.require_inside([1.0, 5.5, -1.0, 7.0])
+        assert "-1.0" not in str(info.value) and "7.0" not in str(info.value)
+
+
+def scalar_screen(spec, n, count, seed):
+    """Per-tuple transcription of the sampled screen: sequential draws, one
+    stratum at a time, and the recursive divided difference of each tuple."""
+    rng = np.random.default_rng(seed)
+    lo, hi = spec.interval
+    width = (hi - lo) / (n + 1)
+    pad = 0.1 * width
+    worst, witness = math.inf, None
+    for _ in range(count):
+        pts = tuple(
+            float(rng.uniform(lo + i * width + pad, lo + (i + 1) * width - pad))
+            for i in range(n + 1)
+        )
+        value = dd_recursive(pts, spec.evaluator)
+        if value < worst:
+            worst, witness = value, pts
+    return worst, witness
+
+
+class TestVectorisedScreen:
+    CASES = [
+        ("exp", (0.0, 1.0)),
+        ("xlogx", (0.1, 3.0)),
+        ("neg_log", (0.5, 2.0)),
+    ]
+
+    def test_matches_per_tuple_transcription(self):
+        for name, interval in self.CASES:
+            spec = function_from_name(name, interval)
+            for n in (2, 4, 6):
+                worst, witness = scalar_screen(spec, n, 200, seed=n)
+                for c in (0.0, 1e3):
+                    verdict = is_n_strongly_convex(spec, n, c, seed=n)
+                    assert_within_ulps(verdict.worst_value, worst)
+                    assert verdict.passed == (worst >= c - 1e-10), (name, n, c)
+                    assert verdict.witness == (None if verdict.passed else witness)
+
+    def test_square_witness_matches(self):
+        worst, witness = scalar_screen(SQUARE01, 2, 50, seed=3)
+        verdict = is_n_strongly_convex(SQUARE01, 2, 1.5, sample_count=50, seed=3)
+        assert verdict.witness == witness
+        assert_within_ulps(verdict.worst_value, worst)
+
+    def test_ties_keep_the_first_tuple(self):
+        # Every second divided difference of a linear function is exactly 0.
+        linear = function_from_name("linear", (0.0, 1.0))
+        worst, witness = scalar_screen(linear, 2, 20, seed=4)
+        verdict = is_n_strongly_convex(linear, 2, 1.0, sample_count=20, seed=4)
+        assert worst == verdict.worst_value == 0.0
+        assert verdict.witness == witness

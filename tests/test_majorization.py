@@ -249,3 +249,62 @@ class TestWeightedMajorization:
             generate_weighted_pair(
                 [1.0, 2.0, 3.0], [1.0], StochasticMatrix([[0.5, 0.5]], "row")
             )
+
+
+def dense_t_transform_witness(x, y):
+    """Transcription of the dense construction: one ``m x m`` product per T-step."""
+    m = x.size
+    ordx = np.argsort(-x, kind="stable")
+    ordy = np.argsort(-y, kind="stable")
+    v = x[ordx].copy()
+    target = y[ordy]
+    work = np.eye(m)
+    eps = 1e-13 * max(1.0, float(np.abs(x).max()))
+    for _ in range(m - 1):
+        diff = v - target
+        high = np.nonzero(diff > eps)[0]
+        if high.size == 0:
+            break
+        j = int(high[0])
+        low = np.nonzero(diff[j + 1 :] < -eps)[0]
+        if low.size == 0:
+            break
+        k = j + 1 + int(low[0])
+        lam = min(v[j] - target[j], target[k] - v[k]) / (v[j] - v[k])
+        step = np.eye(m)
+        step[j, j] = step[k, k] = 1.0 - lam
+        step[j, k] = step[k, j] = lam
+        work = step @ work
+        v = step @ v
+    return np.eye(m)[ordy].T @ work @ np.eye(m)[ordx]
+
+
+class TestConstructionAtScale:
+    """The witness at the size the bulk workload uses, against the dense loop."""
+
+    def check(self, x, y):
+        m = construct_doubly_stochastic(x, y).entries
+        assert np.abs(m @ x - y).max() <= 1e-10
+        assert np.abs(m.sum(axis=0) - 1.0).max() <= 1e-12
+        assert np.abs(m.sum(axis=1) - 1.0).max() <= 1e-12
+        assert m.min() >= 0.0
+        assert np.abs(m - dense_t_transform_witness(x, y)).max() <= 1e-12
+
+    def test_random_pair_m250(self):
+        rng = np.random.default_rng(250)
+        x = rng.uniform(0.0, 1.0, 250)
+        self.check(x, random_doubly_stochastic(rng, 250) @ x)
+
+    def test_unsorted_tied_pair_m250(self):
+        rng = np.random.default_rng(251)
+        x = rng.integers(0, 6, 250).astype(float)  # many ties in x
+        # y averages x over blocks of five, so y is tied inside each block
+        blocks = np.kron(np.eye(50), np.full((5, 5), 0.2))
+        perm = rng.permutation(250)
+        y = (blocks @ x[perm])[rng.permutation(250)]
+        self.check(x, y)
+
+    def test_unsorted_tied_small(self):
+        x = np.array([2.0, 5.0, 2.0, 0.0, 5.0, 1.0])
+        y = np.array([3.0, 2.0, 3.0, 2.0, 2.5, 2.5])
+        self.check(x, y)
