@@ -11,7 +11,7 @@ Four subcommands cover the library surface:
 * ``verify-identity``: decompose a Sherman-type difference by the
   order-n identity and compare the residual with the quadrature budget.
 
-Reports carry ``"schema": 1``, echo every tolerance and seed, and are
+Reports carry ``"schema": 1``, echo every tolerance and knob, and are
 serialized with sorted keys and 17-significant-digit floats so reruns
 are byte-identical.  Exit codes: 0 ok, 1 an asserted inequality failed
 beyond its slack, 2 parse/validation trouble, 3 domain errors, 4
@@ -91,7 +91,6 @@ class RunConfig:
     order: int = 2
     quad_tol: float = 1e-9
     grid: int = DEFAULT_MODULUS_GRID
-    seed: int = 0
 
 
 def _format_float(x: float) -> str:
@@ -388,7 +387,6 @@ def _config_echo(config: RunConfig) -> dict:
         "order": config.order,
         "quad_tol": config.quad_tol,
         "grid": config.grid,
-        "seed": config.seed,
         "chain_slack": CHAIN_SLACK,
         "majorize_tol": MAJORIZE_TOL,
         "residual_budget_factor": RESIDUAL_BUDGET_FACTOR,
@@ -501,7 +499,6 @@ def build_parser() -> argparse.ArgumentParser:
         )
         cmd.add_argument("--grid", type=_grid_argument, default=DEFAULT_MODULUS_GRID,
                          help="certification grid size")
-        cmd.add_argument("--seed", type=int, default=0, help="seed echoed into the report")
     return parser
 
 
@@ -536,7 +533,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         order=args.order,
         quad_tol=args.quad_tol,
         grid=args.grid,
-        seed=args.seed,
     )
     try:
         report, code = run(config)

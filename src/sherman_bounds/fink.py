@@ -15,6 +15,10 @@ whenever the combined kernel weight has one sign on the interval, which
 holds in particular for even ``n`` on verified pairs.  Applying that to
 the shift ``g = f - c*t^n`` of an n-strongly convex ``f`` produces the
 higher-order analogue of the quadratically corrected bound.
+
+Integrals are split into smooth pieces, which QUADPACK's first 21-point
+Gauss-Kronrod step integrates in one array evaluation; ``quad`` gets only
+the pieces whose first estimate QUADPACK would not accept.
 """
 
 from __future__ import annotations
@@ -86,33 +90,73 @@ def fink_kernel(t: float, x: float, alpha: float, beta: float) -> float:
     return t - alpha if t <= x else t - beta
 
 
-def _integrate_pieces(pieces, cfg: QuadratureConfig) -> float:
-    """Integrate each ``(fn, lo, hi)`` piece, budgeting abs_tol across them."""
-    pieces = [(fn, float(lo), float(hi)) for fn, lo, hi in pieces if hi > lo]
-    if not pieces:
+#: QUADPACK's dqk21 rule (Piessens et al. 1983): the 21 nodes on [-1, 1],
+#: their Kronrod weights, and the 10-point Gauss weights (0 at Kronrod-only
+#: nodes), from the nonnegative abscissae in decreasing order.
+_XGK = (0.9956571630258081, 0.9739065285171717, 0.9301574913557082, 0.8650633666889845,
+        0.7808177265864169, 0.6794095682990244, 0.5627571346686047, 0.4333953941292472,
+        0.2943928627014602, 0.14887433898163122, 0.0)
+_WGK = (0.011694638867371874, 0.032558162307964725, 0.054755896574351995, 0.07503967481091996,
+        0.0931254545836976, 0.10938715880229764, 0.12349197626206584, 0.13470921731147334,
+        0.14277593857706009, 0.14773910490133849, 0.1494455540029169)
+_WG = (0.06667134430868814, 0.1494513491505806, 0.21908636251598204, 0.26926671930999635,
+       0.29552422471475287)
+_GK_NODES = np.concatenate([np.negative(_XGK), _XGK[-2::-1]])
+_GK_KRONROD = np.concatenate([_WGK, _WGK[-2::-1]])
+_GK_GAUSS = np.zeros(21)
+_GK_GAUSS[1::2] = _WG + _WG[::-1]
+_EPS, _TINY = np.finfo(float).eps, np.finfo(float).tiny
+
+
+def _first_step(integrand, cuts: np.ndarray, cfg: QuadratureConfig):
+    """QUADPACK's first step on every piece ``[cuts[i], cuts[i+1]]`` at once.
+
+    Returns dqk21's result and error estimate per piece, and whether dqagse
+    accepts them: ``max_subdivisions > 1``, and the error zero, or within
+    ``max(abs_tol / pieces, rel_tol |result|)`` and not ``resasc`` (dqagse's
+    round-off flag needs a larger error, so it rejects as well).
+    ``integrand(t, i)`` takes nodes and piece indices that broadcast, and is
+    called once for all pieces.
+    """
+    lo, hi = cuts[:-1], cuts[1:]
+    half = 0.5 * (hi - lo)
+    nodes = 0.5 * (lo + hi)[:, None] + half[:, None] * _GK_NODES
+    values = integrand(nodes, np.arange(lo.size)[:, None])
+    with np.errstate(all="ignore"):  # non-finite pieces are rejected and go to quad
+        resk = values @ _GK_KRONROD
+        resabs = np.abs(values) @ _GK_KRONROD * half
+        resasc = np.abs(values - 0.5 * resk[:, None]) @ _GK_KRONROD * half
+        result = resk * half
+        abserr = np.abs((resk - values @ _GK_GAUSS) * half)
+        scaled = resasc * np.minimum(1.0, (200.0 * abserr / resasc) ** 1.5)
+        abserr = np.where((resasc != 0.0) & (abserr != 0.0), scaled, abserr)
+        floor = np.where(resabs > _TINY / (50.0 * _EPS), 50.0 * _EPS * resabs, 0.0)
+        abserr = np.maximum(floor, abserr)
+        bound = np.maximum(cfg.abs_tol / lo.size, cfg.rel_tol * np.abs(result))
+        accepted = ((abserr <= bound) & (abserr != resasc)) | (abserr == 0.0)
+    return result, abserr, accepted & (cfg.max_subdivisions > 1)
+
+
+def _integrate_pieces(integrand, cuts: np.ndarray, cfg: QuadratureConfig) -> float:
+    """Sum of the integrals of ``integrand(t, i)`` over increasing ``cuts``.
+
+    Pieces that :func:`_first_step` rejects go, in order, to ``quad`` with
+    ``epsabs = abs_tol / pieces``: every piece meets what ``quad`` requires.
+    """
+    if cuts.size < 2:
         return 0.0
-    per_piece = cfg.abs_tol / len(pieces)
-    total = 0.0
-    err_total = 0.0
-    for fn, lo, hi in pieces:
-        out = quad(
-            fn,
-            lo,
-            hi,
-            epsabs=per_piece,
-            epsrel=cfg.rel_tol,
-            limit=cfg.max_subdivisions,
-            full_output=1,
-        )
+    result, abserr, accepted = _first_step(integrand, cuts, cfg)
+    for i in np.flatnonzero(~accepted).tolist():
+        lo, hi = float(cuts[i]), float(cuts[i + 1])
+        out = quad(integrand, lo, hi, args=(i,), epsabs=cfg.abs_tol / result.size,
+                   epsrel=cfg.rel_tol, limit=cfg.max_subdivisions, full_output=1)
         if len(out) == 4:
             raise QuadratureFailure(f"integration on [{lo}, {hi}] failed: {out[3].strip()}")
-        total += out[0]
-        err_total += out[1]
+        result[i], abserr[i] = out[0], out[1]
+    total, err_total = float(result.sum()), float(abserr.sum())
     budget = max(10.0 * cfg.abs_tol, 10.0 * cfg.rel_tol * abs(total))
     if err_total > budget:
-        raise QuadratureFailure(
-            f"integration error estimate {err_total} exceeds budget {budget}"
-        )
+        raise QuadratureFailure(f"integration error estimate {err_total} exceeds budget {budget}")
     return total
 
 
@@ -148,7 +192,7 @@ def fink_identity_check(
     f = spec.evaluator
     x = float(x)
 
-    mean_term = n / width * _integrate_pieces([(f, al, be)], quad_cfg)
+    mean = _integrate_pieces(lambda t, i: spec.evaluate(t), np.array([al, be]), quad_cfg)
     boundary = 0.0
     for w in range(1, n):
         dw = spec.derivative(w - 1)
@@ -158,16 +202,15 @@ def fink_identity_check(
             * (dw(al) * (x - al) ** w - dw(be) * (x - be) ** w)
             / width
         )
-    fn = spec.derivative(n)
-
-    def integrand(t: float) -> float:
-        return (x - t) ** (n - 1) * fink_kernel(t, x, al, be) * fn(t)
-
     cuts = _interior_cuts(al, be, [x])
-    kernel_term = _integrate_pieces(
-        [(integrand, lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:])], quad_cfg
-    ) / (math.factorial(n - 1) * width)
-    return float(f(x) - (mean_term - boundary + kernel_term))
+    # k(t, x) = t - alpha on the pieces left of x, t - beta right of it
+    offsets = np.where(cuts[:-1] < x, al, be)
+
+    def integrand(t, i):
+        return (x - t) ** (n - 1) * (t - offsets[i]) * spec.evaluate(t, order=n)
+
+    kernel_term = _integrate_pieces(integrand, cuts, quad_cfg) / (math.factorial(n - 1) * width)
+    return float(f(x) - (n / width * mean - boundary + kernel_term))
 
 
 @dataclass(frozen=True, slots=True)
@@ -253,30 +296,12 @@ class _KernelWeight:
 
     def values(self, t: np.ndarray, side: str = "left") -> np.ndarray:
         """``W`` at the nodes ``t``, or its right limits with ``side="right"``."""
-        suffix, prefix = self.coefficients(t, side)
+        return self.polynomial(t, *self.coefficients(t, side))
+
+    def polynomial(self, t, suffix, prefix):
+        """``W`` at ``t`` from piece coefficients that broadcast against ``t``."""
         r = (self.center - t) / self.half
         return (t - self.alpha) * _horner(suffix, r) + (t - self.beta) * _horner(prefix, r)
-
-    def integrands(self, fn, cuts: np.ndarray) -> list:
-        """``(t -> W(t) fn(t), lo, hi)`` for each piece between consecutive cuts.
-
-        The cuts must include every data point inside the interval, so that
-        ``W`` is one polynomial on each piece.
-        """
-        alpha, beta, center, half = self.alpha, self.beta, self.center, self.half
-
-        def piece(suffix: list, prefix: list):
-            def integrand(t: float) -> float:
-                r = (center - t) / half
-                return ((t - alpha) * _horner(suffix, r) + (t - beta) * _horner(prefix, r)) * fn(t)
-
-            return integrand
-
-        suffix, prefix = self.coefficients(cuts[:-1], "right")
-        return [
-            (piece(suf, pre), lo, hi)
-            for suf, pre, lo, hi in zip(suffix.T.tolist(), prefix.T.tolist(), cuts[:-1], cuts[1:])
-        ]
 
 
 def check_kernel_condition(
@@ -389,7 +414,8 @@ def sherman_difference_identity(
     kernel weight.
 
     Each piece between consecutive data points is integrated against that
-    piece's polynomial of ``W``.
+    piece's polynomial of ``W``: one 21-point Gauss-Kronrod pass over all
+    pieces, with ``quad`` only for the pieces QUADPACK would subdivide.
 
     Raises:
         MajorizationNotVerified: if either moment condition fails.
@@ -399,8 +425,13 @@ def sherman_difference_identity(
     lhs, boundary = _difference_terms(x, y, spec, n)
     al, be = spec.interval
     cuts = _interior_cuts(al, be, np.concatenate([x.points, y.points]))
-    pieces = _KernelWeight(x, y, n, al, be).integrands(spec.derivative(n), cuts)
-    integral = _integrate_pieces(pieces, quad_cfg) / (math.factorial(n - 1) * (be - al))
+    weight = _KernelWeight(x, y, n, al, be)
+    suffix, prefix = weight.coefficients(cuts[:-1], "right")
+
+    def integrand(t, i):
+        return weight.polynomial(t, suffix[:, i], prefix[:, i]) * spec.evaluate(t, order=n)
+
+    integral = _integrate_pieces(integrand, cuts, quad_cfg) / (math.factorial(n - 1) * (be - al))
 
     condition = check_kernel_condition(
         x, y, n, kernel_grid_size, interval=spec.interval

@@ -185,13 +185,12 @@ def majorizes(x, y, tol: float = DEFAULT_TOL, *, with_matrix: bool = False) -> M
         )
     cx = np.cumsum(np.sort(xa)[::-1])
     cy = np.cumsum(np.sort(ya)[::-1])
-    m = xa.size
-    for k in range(m - 1):
-        if cy[k] > cx[k] + tol:
-            return MajorizationCert("fails", k + 1, None)
+    violated = np.flatnonzero(cy[:-1] > cx[:-1] + tol)
+    if violated.size:
+        return MajorizationCert("fails", int(violated[0]) + 1, None)
     if abs(cx[-1] - cy[-1]) > tol:
-        return MajorizationCert("fails", m, None)
-    matrix = construct_doubly_stochastic(xa, ya, tol) if with_matrix else None
+        return MajorizationCert("fails", xa.size, None)
+    matrix = _t_transform_witness(xa, ya) if with_matrix else None
     return MajorizationCert("holds", None, matrix)
 
 
@@ -223,6 +222,11 @@ def construct_doubly_stochastic(x, y, tol: float = DEFAULT_TOL) -> StochasticMat
     cert = majorizes(xa, ya, tol)
     if not cert.holds:
         raise NotMajorized(f"pair fails majorization at prefix {cert.witness_k}")
+    return _t_transform_witness(xa, ya)
+
+
+def _t_transform_witness(xa: np.ndarray, ya: np.ndarray) -> StochasticMatrix:
+    """The construction of :func:`construct_doubly_stochastic` on a checked pair."""
     m = xa.size
     ordx = np.argsort(-xa, kind="stable")
     ordy = np.argsort(-ya, kind="stable")

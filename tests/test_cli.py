@@ -299,6 +299,17 @@ class TestVerifyIdentityCommand:
         assert code == 4
         assert report["error_type"] == "QuadratureFailure"
 
+    def test_unreachable_tolerance_exits_through_the_integrator(self, tmp_path, capsys):
+        path = write_json(tmp_path / "v.json", self.INSTANCE)
+        code, report = run_cli(
+            capsys, "verify-identity", "--input", path, "--kernel", "exp",
+            "--interval", "0,1", "--quad-tol", "1e-300",
+        )
+        assert code == 4
+        assert report["error_type"] == "QuadratureFailure"
+        assert report["error"].startswith("integration on [0.0, 0.5] failed: ")
+        assert "roundoff error is detected" in report["error"]
+
 
 class TestErrorExits:
     def test_negative_weight(self, tmp_path, capsys):

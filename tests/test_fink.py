@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from sherman_bounds import (
     FunctionSpec,
@@ -47,6 +48,15 @@ def steep_spec(rate: float = 8.0) -> FunctionSpec:
         for k in range(1, 7)
     )
     return FunctionSpec("steep", lambda t: math.exp(rate * t), derivs, (0.0, 1.0))
+
+
+#: t^2.5 on [0, 1]: its second derivative has a square-root corner at 0.
+ROOT01 = FunctionSpec(
+    "root",
+    lambda t: t**2.5,
+    (lambda t: 2.5 * t**1.5, lambda t: 3.75 * np.sqrt(t)),
+    (0.0, 1.0),
+)
 
 
 class TestQuadratureConfig:
@@ -121,12 +131,81 @@ class TestFinkIdentity:
             fink_identity_check(steep_spec(), 0.37, 2, cfg)
 
     def test_budget_message_names_the_applied_threshold(self, monkeypatch):
-        # value 1e3 makes the relative threshold 10 * 1e-9 * 1e3 = 1e-5 apply
+        # value 1e3 makes the relative threshold 10 * 1e-9 * 1e3 = 1e-5 apply;
+        # one subdivision makes every piece reach the patched quad
         monkeypatch.setattr(fink, "quad", lambda *args, **kwargs: (1e3, 1.0, {"neval": 21}))
         with pytest.raises(QuadratureFailure) as info:
-            fink_identity_check(EXP01, 0.5, 1)
+            fink_identity_check(EXP01, 0.5, 1, QuadratureConfig(max_subdivisions=1))
         assert f"exceeds budget {max(10 * 1e-9, 10 * 1e-9 * 1e3)}" in str(info.value)
         assert "1e-09" not in str(info.value)
+
+
+class TestGaussKronrodPass:
+    """The vectorised first QUADPACK step against scipy's ``quad``."""
+
+    def test_rule_tables(self):
+        nodes, weights = np.polynomial.legendre.leggauss(10)
+        gauss = fink._GK_GAUSS != 0.0
+        assert np.abs(fink._GK_NODES[gauss] - nodes).max() <= 1e-15
+        assert np.abs(fink._GK_GAUSS[gauss] - weights).max() <= 1e-15
+        for k in range(32):
+            exact = 0.0 if k % 2 else 2.0 / (k + 1)
+            assert abs(fink._GK_NODES**k @ fink._GK_KRONROD - exact) <= 1e-15
+
+    @staticmethod
+    def captured_integrals(monkeypatch):
+        """Every ``(integrand, cuts, cfg)`` that the identities integrate."""
+        captured = []
+        real = fink._integrate_pieces
+
+        def capture(integrand, cuts, cfg):
+            captured.append((integrand, cuts, cfg))
+            return real(integrand, cuts, cfg)
+
+        monkeypatch.setattr(fink, "_integrate_pieces", capture)
+        rng = np.random.default_rng(51)
+        for n in range(1, 6):
+            for _ in range(3):
+                x, y, _ = random_chain_instance(rng, (0.0, 1.0))
+                sherman_difference_identity(x, y, EXP01, n)
+        sherman_difference_identity(x, y, ROOT01, 2)
+        for cfg in (QuadratureConfig(), QuadratureConfig(abs_tol=1e-13, rel_tol=1e-13)):
+            for rate in (8.0, 40.0):
+                for n in (1, 2, 3):
+                    fink_identity_check(steep_spec(rate), 0.37, n, cfg)
+        # so steep a function that the first error estimates saturate at
+        # resasc (~5e41), which dqagse never accepts, even within abs_tol
+        fink_identity_check(steep_spec(100.0), 0.37, 1, QuadratureConfig(abs_tol=1e60))
+        return captured
+
+    def test_pieces_agree_with_quad(self, monkeypatch):
+        rejected = 0
+        for integrand, cuts, cfg in self.captured_integrals(monkeypatch):
+            result, abserr, accepted = fink._first_step(integrand, cuts, cfg)
+            rejected += int((~accepted).sum())
+            for i, (lo, hi) in enumerate(zip(cuts[:-1], cuts[1:])):
+                kwargs = dict(args=(i,), epsabs=cfg.abs_tol / result.size,
+                              epsrel=cfg.rel_tol, full_output=1)
+                # one subdivision stops quad after its first step
+                first = quad(integrand, lo, hi, limit=1, **kwargs)
+                assert abs(result[i] - first[0]) <= 1e-14 * abs(first[0])
+                # the estimate scales the Kronrod-Gauss difference to the 1.5th
+                # power, so a last-bit difference of that cancellation grows by
+                # 1.5 resabs / |resk - resg|, about 1e7 on the steepest pieces;
+                # a wrong scaling or floor would move it by orders of magnitude
+                assert abs(abserr[i] - first[1]) <= 1e-6 * first[1]
+                full = quad(integrand, lo, hi, limit=cfg.max_subdivisions, **kwargs)
+                assert accepted[i] == (len(full) == 3 and full[2]["neval"] == 21)
+        assert rejected > 0
+
+    def test_smooth_identity_makes_no_quad_call(self, monkeypatch):
+        monkeypatch.setattr(fink, "quad", lambda *args, **kwargs: pytest.fail("quad called"))
+        rng = np.random.default_rng(52)
+        for n in range(1, 6):
+            x, y, _ = random_chain_instance(rng, (0.0, 1.0))
+            report = sherman_difference_identity(x, y, EXP01, n)
+            assert abs(report.residual) <= 1e-9
+            assert abs(fink_identity_check(EXP01, 0.42, n)) <= 1e-9
 
 
 class TestKernelCondition:
@@ -217,11 +296,12 @@ class TestPiecewiseKernelWeight:
                     assert abs(w - fsum_kernel_weight(t, x, y, n, lo, hi)) <= tol
                 for t, w in zip(breaks.tolist(), weight.values(breaks, "right").tolist()):
                     assert abs(w - fsum_kernel_weight(t, x, y, n, lo, hi, right_limit=True)) <= tol
-                # the identity's per-piece integrands, at each piece's midpoint
+                # the identity's per-piece polynomials, at each piece's midpoint
                 cuts = np.unique(np.concatenate([[lo, hi], breaks[(breaks > lo) & (breaks < hi)]]))
-                for integrand, a, b in weight.integrands(lambda t: 1.0, cuts):
-                    mid = 0.5 * (a + b)
-                    assert abs(integrand(mid) - fsum_kernel_weight(mid, x, y, n, lo, hi)) <= tol
+                suffix, prefix = weight.coefficients(cuts[:-1], "right")
+                mids = 0.5 * (cuts[:-1] + cuts[1:])
+                for t, w in zip(mids.tolist(), weight.polynomial(mids, suffix, prefix).tolist()):
+                    assert abs(w - fsum_kernel_weight(t, x, y, n, lo, hi)) <= tol
 
     def test_scan_extremes_match_fsum(self):
         for x, y, interval in self.pairs():
@@ -372,10 +452,12 @@ class TestHigherOrderBound:
 
     def test_bound_makes_no_quad_call_and_one_scan(self, monkeypatch):
         counts = {"quad": 0, "scan": 0}
+        epsabs = []
         real_quad, real_scan = fink.quad, fink.check_kernel_condition
 
         def counting_quad(*args, **kwargs):
             counts["quad"] += 1
+            epsabs.append(kwargs["epsabs"])
             return real_quad(*args, **kwargs)
 
         def counting_scan(*args, **kwargs):
@@ -390,10 +472,14 @@ class TestHigherOrderBound:
             counts.update(quad=0, scan=0)
             assert higher_order_sherman_bound(x, y, EXP01, n, c).holds
             assert counts == {"quad": 0, "scan": 1}
-        # the wrappers are live: the identity itself integrates
+        # the wrappers are live: the identity hands quad the pieces that the
+        # first Gauss-Kronrod step rejects, here where f'' has a sqrt corner
         counts.update(quad=0, scan=0)
-        sherman_difference_identity(x, y, EXP01, 2)
-        assert counts["quad"] > 0 and counts["scan"] == 1
+        report = sherman_difference_identity(x, y, ROOT01, 2)
+        pieces = np.unique(np.concatenate([[0.0, 1.0], x.points, y.points])).size - 1
+        assert 0 < counts["quad"] < pieces and counts["scan"] == 1
+        assert epsabs == [QuadratureConfig().abs_tol / pieces] * counts["quad"]
+        assert abs(report.residual) <= 1e-9
 
     def test_bound_keeps_the_identity_guards(self):
         # the moment-mismatch pairs of test_moment_guards; their order-4

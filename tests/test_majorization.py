@@ -17,6 +17,7 @@ from sherman_bounds import (
     majorizes,
     verify_weighted_majorization,
 )
+from sherman_bounds import majorization
 from helpers import fsum_dot, random_doubly_stochastic, random_row_stochastic
 
 
@@ -89,6 +90,57 @@ class TestMajorizes:
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
             majorizes([1.0, 2.0], [1.0])
+
+    @staticmethod
+    def loop_witness_k(x, y, tol):
+        """The prefix scan as a loop: first violated prefix, m on a total mismatch."""
+        cx = np.cumsum(np.sort(np.asarray(x, dtype=float))[::-1])
+        cy = np.cumsum(np.sort(np.asarray(y, dtype=float))[::-1])
+        for k in range(cx.size - 1):
+            if cy[k] > cx[k] + tol:
+                return k + 1
+        return cx.size if abs(cx[-1] - cy[-1]) > tol else None
+
+    def test_witness_k_matches_a_prefix_loop(self):
+        rng = np.random.default_rng(8)
+        seen = set()
+        for trial in range(600):
+            size = int(rng.integers(1, 12))
+            if trial % 3 == 0:  # unrelated vectors
+                x, y = rng.uniform(-2.0, 2.0, size), rng.uniform(-2.0, 2.0, size)
+            elif trial % 3 == 1:  # averages shifted off the total sum
+                x = rng.uniform(-2.0, 2.0, size)
+                y = random_doubly_stochastic(rng, size) @ x + rng.uniform(-1e-3, 1e-3)
+            else:  # ties within and across the vectors
+                x = rng.integers(0, 3, size).astype(float)
+                y = rng.integers(0, 3, size).astype(float)
+            expected = self.loop_witness_k(x, y, 1e-9)
+            cert = majorizes(x, y)
+            assert cert.witness_k == expected
+            assert cert.holds == (expected is None)
+            seen.add("none" if expected is None else "total" if expected == size else "prefix")
+        assert seen == {"none", "total", "prefix"}
+
+    def test_one_partial_sum_check_per_witness(self, monkeypatch):
+        calls = []
+        real = majorization.majorizes
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(majorization, "majorizes", counting)
+        rng = np.random.default_rng(9)
+        x = rng.uniform(0.0, 1.0, 40)
+        y = random_doubly_stochastic(rng, 40) @ x
+        assert majorization.majorizes(x, y, with_matrix=True).matrix is not None
+        assert len(calls) == 1
+        # called directly, the construction still checks the pair itself
+        calls.clear()
+        construct_doubly_stochastic(x, y)
+        assert len(calls) == 1
+        with pytest.raises(NotMajorized, match="at prefix 1"):
+            construct_doubly_stochastic([2.0, 2.0], [3.0, 1.0])
 
     def test_averaging_is_majorized(self):
         rng = np.random.default_rng(5)
