@@ -97,7 +97,8 @@ class BoundChain:
         fuchs_case: True when both sides have equally many points and all
             weights share one value (the classical equal-weight setting).
         warnings: Human-readable notes (degenerate weights and similar).
-        verification: The witness check of :func:`full_chain`; not reported.
+        verification: The witness check of :func:`full_chain`, or the
+            factored one of an aggregated divergence; not reported.
     """
 
     lhs: float
@@ -187,14 +188,12 @@ def _check_normalized(weights: np.ndarray) -> None:
         raise WeightsNotNormalized(f"weights sum to {total}, expected 1 within {WEIGHT_SUM_TOL}")
 
 
-def _verified(x, y, matrix: StochasticMatrix, tol: float) -> VerificationResult:
-    result = verify_weighted_majorization(x, y, matrix, tol)
+def _require_passed(result: VerificationResult) -> None:
     if not result.passed:
         raise MajorizationNotVerified(
             f"witness residuals (weights {result.weight_residual}, "
-            f"points {result.point_residual}) exceed {tol}"
+            f"points {result.point_residual}) exceed {result.tol}"
         )
-    return result
 
 
 def _endpoint_width(spec: FunctionSpec) -> float:
@@ -340,7 +339,7 @@ def sherman_strong(
     spec.require_inside(x.points)
     spec.require_inside(y.points)
     if matrix is not None:
-        _verified(x, y, matrix, tol)
+        _require_passed(verify_weighted_majorization(x, y, matrix, tol))
     elif not assume_majorized:
         raise MajorizationNotVerified(
             "pass a stochastic witness matrix or set assume_majorized=True"
@@ -393,7 +392,18 @@ def full_chain(
     """
     spec.require_inside(x.points)
     spec.require_inside(y.points)
-    result = _verified(x, y, matrix, tol)
+    result = verify_weighted_majorization(x, y, matrix, tol)
+    return _chain_links(
+        x, y, result, spec, c, certificate=certificate, unchecked_modulus=unchecked_modulus
+    )
+
+
+def _chain_links(
+    x: WeightedVector, y: WeightedVector, result: VerificationResult, spec: FunctionSpec,
+    c: Optional[float], *, certificate: Optional[ModulusCertificate], unchecked_modulus: bool,
+) -> BoundChain:
+    """The links of :func:`full_chain` for points inside the interval, given its witness check."""
+    _require_passed(result)
     modulus, _ = resolve_modulus(spec, c, certificate, unchecked=unchecked_modulus)
     width = _endpoint_width(spec)
     al, be = spec.interval

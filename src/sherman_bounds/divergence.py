@@ -8,7 +8,10 @@ certified modulus.  For strictly positive ``p, q`` the divergence is
 Aggregating the pair through a column-stochastic matrix ``R`` (rows of
 ``R`` merge probability mass) produces a weighted-majorized instance:
 with ``b_i = <p, R_i>``, ``y_i = <q, R_i> / b_i``, ``a = p`` and
-``A_ij = p_j R_ij / b_i`` the chain of bounds applies and yields
+``A_ij = p_j R_ij / b_i`` the chain of bounds applies.  The witness is
+checked in factored form, never built: ``a = bA`` reads
+``p_j = p_j S_i R_ij`` and ``y = Ax`` reads ``y_i = (R(p x))_i / b_i``.
+The chain yields
 
 * ``lower_ck``: the aggregated divergence (total-mass chord point),
 * ``lower_strong``: ``lower_ck`` plus the quadratic ratio-spread term,
@@ -23,12 +26,12 @@ Shannon entropy and Kullback-Leibler divergence are provided directly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .bounds import BoundChain, full_chain
+from .bounds import BoundChain, _chain_links
 from .convexity import (
     FunctionSpec,
     ModulusCertificate,
@@ -45,7 +48,7 @@ from .errors import (
     ValidationError,
     ZeroAggregateWeight,
 )
-from .majorization import StochasticMatrix, WeightedVector
+from .majorization import StochasticMatrix, VerificationResult, WeightedVector
 
 #: Default ratio interval for catalog kernels.
 DEFAULT_KERNEL_INTERVAL = (0.1, 10.0)
@@ -95,17 +98,19 @@ class DivergenceKernel:
 class DistributionPair:
     """Two strictly positive vectors of equal length, with their ratios.
 
-    ``p`` and ``q`` need not be normalized; operations that require
-    probability vectors check that themselves.
+    ``p`` and ``q`` are copied and stored read-only; ``ratios = q / p`` is
+    derived, not passed.  They need not be normalized; operations that
+    require probability vectors check that themselves.
     """
 
     p: np.ndarray
     q: np.ndarray
-    ratios: np.ndarray = None  # derived in __post_init__
+    ratios: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        p = np.asarray(self.p, dtype=float)
-        q = np.asarray(self.q, dtype=float)
+        # Copies, so freezing them leaves the caller's arrays writable.
+        p = np.array(self.p, dtype=float)
+        q = np.array(self.q, dtype=float)
         if p.ndim != 1 or q.ndim != 1 or p.size == 0 or p.shape != q.shape:
             raise ValidationError(
                 f"p and q must be equal-length nonempty vectors, got shapes {p.shape}, {q.shape}"
@@ -422,8 +427,11 @@ def aggregated_divergence_bounds(
     Each row ``R_i`` of the column-stochastic ``matrix`` merges mass into
     ``b_i = <p, R_i>`` and aggregated ratio ``y_i = <q, R_i> / b_i``; the
     chain then runs on the weighted-majorized instance with witness
-    ``A_ij = p_j R_ij / b_i``.  ``lower_ck`` is the aggregated divergence
-    ``S_i b_i f(y_i)``.
+    ``A_ij = p_j R_ij / b_i``.  That witness is checked from its factors
+    without being built: the chain's ``verification`` holds
+    ``max_j |p_j - p_j S_i R_ij|`` (``a = bA``) and
+    ``max_i |y_i - (R(p x))_i / b_i|`` (``y = Ax``), both compared with
+    ``tol``.  ``lower_ck`` is the aggregated divergence ``S_i b_i f(y_i)``.
 
     Args:
         pair: Strictly positive vectors with ratios inside the kernel's
@@ -441,6 +449,8 @@ def aggregated_divergence_bounds(
         ZeroAggregateWeight: if a row of ``matrix`` carries no mass.
         RatioOutOfDomain: if a ratio leaves the generator's interval.
         DimensionMismatch: if the matrix width differs from the pair.
+        MajorizationNotVerified: if a residual of the witness check
+            exceeds ``tol``.
     """
     if kernel.convexity_class != _STRONGLY_CONVEX:
         raise ModulusNotCertified(
@@ -461,15 +471,21 @@ def aggregated_divergence_bounds(
     _require_ratios_inside(pair.ratios, kernel)
     _require_ratios_inside(aggregated_ratios, kernel)
 
-    witness = StochasticMatrix(
-        pair.p[None, :] * matrix.entries / weights[:, None], "row"
+    # A = pR/b is nonnegative and row-stochastic by construction: R >= 0 was
+    # validated and b = Rp > 0 was checked, so only a = bA and y = Ax remain.
+    weight_residual = float(np.abs(pair.p - pair.p * matrix.entries.sum(axis=0)).max())
+    point_residual = float(
+        np.abs(aggregated_ratios - (matrix.entries @ (pair.p * pair.ratios)) / weights).max()
+    )
+    result = VerificationResult(
+        weight_residual <= tol and point_residual <= tol, weight_residual, point_residual, tol
     )
     interval = kernel.generator.interval
     x = WeightedVector(pair.ratios, pair.p, interval)
     y = WeightedVector(aggregated_ratios, weights, interval)
-    chain = full_chain(
-        x, y, witness, kernel.generator, c,
-        certificate=kernel.modulus_certificate, tol=tol,
+    chain = _chain_links(
+        x, y, result, kernel.generator, c,
+        certificate=kernel.modulus_certificate, unchecked_modulus=False,
     )
     return _sandwich_from_chain(kernel, chain)
 

@@ -116,21 +116,21 @@ class StochasticMatrix:
         arr = np.asarray(self.entries, dtype=float)
         if arr.ndim != 2 or arr.size == 0:
             raise ValidationError(f"matrix must be two-dimensional and nonempty, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ValidationError("matrix entries must be finite")
         low = arr.min()
         if low < -ENTRY_CLAMP_TOL:
             raise ValidationError(f"matrix entry {low} below clamping tolerance -{ENTRY_CLAMP_TOL}")
         # One new array either way; -0.0 is not below zero and is kept.
         arr = np.where(arr < 0.0, 0.0, arr) if low < 0.0 else arr.copy()
-        if self.kind in ("row", "doubly"):
-            dev = float(np.abs(arr.sum(axis=1) - 1.0).max())
+        for axis, label in ((1, "row"), (0, "column")):
+            if self.kind not in (label, "doubly"):
+                continue
+            dev = float(np.abs(arr.sum(axis=axis) - 1.0).max())
+            # A NaN or infinite entry makes its sum, and so dev, non-finite;
+            # NaN would pass the comparison below.
+            if not math.isfinite(dev):
+                raise ValidationError("matrix entries must be finite")
             if dev > MATRIX_SUM_TOL:
-                raise ValidationError(f"row sums deviate from 1 by {dev} > {MATRIX_SUM_TOL}")
-        if self.kind in ("column", "doubly"):
-            dev = float(np.abs(arr.sum(axis=0) - 1.0).max())
-            if dev > MATRIX_SUM_TOL:
-                raise ValidationError(f"column sums deviate from 1 by {dev} > {MATRIX_SUM_TOL}")
+                raise ValidationError(f"{label} sums deviate from 1 by {dev} > {MATRIX_SUM_TOL}")
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
 

@@ -10,11 +10,13 @@ from sherman_bounds import (
     CHAIN_SLACK,
     DimensionMismatch,
     DistributionPair,
+    MajorizationNotVerified,
     ModulusNotCertified,
     NotAProbabilityVector,
     RatioOutOfDomain,
     StochasticMatrix,
     ValidationError,
+    WeightedVector,
     ZeroAggregateWeight,
     aggregated_divergence_bounds,
     catalog,
@@ -23,7 +25,9 @@ from sherman_bounds import (
     get_kernel,
     kl_divergence,
     shannon_entropy,
+    verify_weighted_majorization,
 )
+from sherman_bounds import divergence
 from helpers import fsum_dot, random_row_stochastic
 
 CLOSED_FORMS = {
@@ -67,6 +71,20 @@ class TestDistributionPair:
             DistributionPair([], [])
         with pytest.raises(ValidationError):
             DistributionPair([0.5, math.inf], [0.5, 0.5])
+
+    def test_caller_arrays_stay_writable(self):
+        p = np.array([0.5, 0.5])
+        q = np.array([0.2, 0.8])
+        pair = DistributionPair(p, q)
+        p[0] = 0.4
+        q[0] = 0.3
+        assert p.flags.writeable and q.flags.writeable
+        assert pair.p.tolist() == [0.5, 0.5] and pair.q.tolist() == [0.2, 0.8]
+        assert not pair.p.flags.writeable and not pair.q.flags.writeable
+
+    def test_ratios_are_derived_not_passed(self):
+        with pytest.raises(TypeError):
+            DistributionPair([0.5, 0.5], [0.2, 0.8], np.array([7.0, 7.0]))
 
 
 class TestCatalog:
@@ -350,3 +368,69 @@ class TestAggregatedBounds:
             aggregated_divergence_bounds(
                 pair, StochasticMatrix(np.eye(3), "column"), get_kernel("kl")
             )
+
+
+def _chain_of(monkeypatch, pair, merge, kernel):
+    """The BoundChain behind an aggregated sandwich, captured on its way out."""
+    captured = []
+    sandwich = divergence._sandwich_from_chain
+
+    def capture(kern, chain):
+        captured.append(chain)
+        return sandwich(kern, chain)
+
+    monkeypatch.setattr(divergence, "_sandwich_from_chain", capture)
+    aggregated_divergence_bounds(pair, merge, kernel)
+    return captured[0]
+
+
+class TestFactoredWitnessCheck:
+    def test_tampered_column_sum_is_rejected(self):
+        rng = np.random.default_rng(60)
+        pair = bounded_pair(rng, 6)
+        merge = StochasticMatrix(random_row_stochastic(rng, 6, 3).T, "column")
+        tampered = merge.entries.copy()
+        tampered[:, 2] *= 1.001
+        object.__setattr__(merge, "entries", tampered)
+        with pytest.raises(MajorizationNotVerified):
+            aggregated_divergence_bounds(pair, merge, get_kernel("kl"))
+
+    def test_tampered_ratios_are_rejected(self):
+        # y = Ax is checked against the pair's stored ratios, not q itself
+        rng = np.random.default_rng(61)
+        pair = bounded_pair(rng, 6)
+        merge = StochasticMatrix(random_row_stochastic(rng, 6, 3).T, "column")
+        ratios = pair.ratios.copy()
+        ratios[4] *= 1.0 + 1e-6
+        object.__setattr__(pair, "ratios", ratios)
+        with pytest.raises(MajorizationNotVerified):
+            aggregated_divergence_bounds(pair, merge, get_kernel("kl"))
+
+    def test_residuals_match_the_dense_witness(self, monkeypatch):
+        rng = np.random.default_rng(62)
+        kernel = get_kernel("hellinger")
+        for _ in range(20):
+            size = int(rng.integers(2, 9))
+            rows = int(rng.integers(1, size + 1))
+            # column sums off by up to 4e-13 and ratios off by up to 1e-12
+            # (both within tol), so neither residual is a rounding artefact
+            entries = random_row_stochastic(rng, size, rows).T
+            entries = entries * (1.0 + rng.uniform(-4e-13, 4e-13, size))
+            merge = StochasticMatrix(entries, "column")
+            pair = bounded_pair(rng, size)
+            ratios = pair.ratios * (1.0 + rng.uniform(-1e-12, 1e-12, size))
+            object.__setattr__(pair, "ratios", ratios)
+            chain = _chain_of(monkeypatch, pair, merge, kernel)
+
+            b = merge.entries @ pair.p
+            dense = StochasticMatrix(pair.p[None, :] * merge.entries / b[:, None], "row")
+            x = WeightedVector(pair.ratios, pair.p)
+            y = WeightedVector((merge.entries @ pair.q) / b, b)
+            reference = verify_weighted_majorization(x, y, dense, 1e-9)
+
+            got = chain.verification
+            assert got.passed and reference.passed and got.tol == reference.tol
+            assert got.weight_residual > 1e-15 * pair.p.min()
+            assert got.point_residual > 1e-15
+            assert abs(got.weight_residual - reference.weight_residual) <= 1e-15 * pair.p.max()
+            assert abs(got.point_residual - reference.point_residual) <= 1e-15 * ratios.max()

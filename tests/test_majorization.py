@@ -62,6 +62,14 @@ class TestStochasticMatrix:
         with pytest.raises(ValidationError):
             StochasticMatrix([[0.25, 0.75], [0.80, 0.25]], "doubly")
 
+    @pytest.mark.parametrize("kind", ["row", "column", "doubly"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_entries(self, kind, bad):
+        entries = np.full((3, 3), 1.0 / 3.0)
+        entries[1, 2] = bad
+        with pytest.raises(ValidationError):
+            StochasticMatrix(entries, kind)
+
     def test_rejects_bad_kind(self):
         with pytest.raises(ValidationError):
             StochasticMatrix([[1.0]], "diagonal")
