@@ -94,13 +94,14 @@ class DivergenceKernel:
         return None if cert is None else cert.modulus
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DistributionPair:
     """Two strictly positive vectors of equal length, with their ratios.
 
     ``p`` and ``q`` are copied and stored read-only; ``ratios = q / p`` is
     derived, not passed.  They need not be normalized; operations that
-    require probability vectors check that themselves.
+    require probability vectors check that themselves.  Equality and
+    hashing go by identity.
     """
 
     p: np.ndarray

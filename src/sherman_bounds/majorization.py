@@ -46,9 +46,11 @@ def _as_vector(values, label: str) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightedVector:
     """Points with nonnegative weights, optionally pinned to an interval.
+
+    Equality and hashing go by identity.
 
     Attributes:
         points: Real data points.
@@ -94,13 +96,13 @@ class WeightedVector:
         return float(math.fsum(self.weights))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StochasticMatrix:
     """A validated row-, column-, or doubly stochastic matrix.
 
     Entries in ``[-1e-14, 0)`` are clamped to zero on construction;
     anything more negative is rejected.  The relevant sums must equal
-    one within ``1e-12``.
+    one within ``1e-12``.  Equality and hashing go by identity.
 
     Attributes:
         entries: The matrix, stored read-only.
@@ -176,6 +178,7 @@ def majorizes(x, y, tol: float = DEFAULT_TOL, *, with_matrix: bool = False) -> M
 
     Raises:
         LengthMismatch: if the vectors differ in length.
+        ValidationError: if either vector has a NaN or infinite entry.
     """
     xa = np.asarray(x, dtype=float)
     ya = np.asarray(y, dtype=float)
@@ -183,6 +186,8 @@ def majorizes(x, y, tol: float = DEFAULT_TOL, *, with_matrix: bool = False) -> M
         raise LengthMismatch(
             f"majorization needs equal-length vectors, got shapes {xa.shape} and {ya.shape}"
         )
+    if not (np.isfinite(xa).all() and np.isfinite(ya).all()):
+        raise ValidationError("majorization needs finite vectors")
     cx = np.cumsum(np.sort(xa)[::-1])
     cy = np.cumsum(np.sort(ya)[::-1])
     violated = np.flatnonzero(cy[:-1] > cx[:-1] + tol)
@@ -200,8 +205,11 @@ def construct_doubly_stochastic(x, y, tol: float = DEFAULT_TOL) -> StochasticMat
     Classical construction: sort both vectors in decreasing order, then
     apply at most ``m - 1`` T-transforms (convex mixtures of the identity
     and a transposition), each matching at least one more coordinate of
-    the working vector to ``y``.  Sorting permutations are undone at the
-    end, so ``A`` refers to the original coordinate order.
+    the working vector to ``y``.  Each step mixes two rows in O(m), and
+    the pair it acts on is found by two pointers that only move forward,
+    so the search is amortised O(1) per step and the witness costs
+    O(m^2).  Sorting permutations are undone at the end, so ``A`` refers
+    to the original coordinate order.
 
     Args:
         x: Majorant vector.
@@ -210,9 +218,10 @@ def construct_doubly_stochastic(x, y, tol: float = DEFAULT_TOL) -> StochasticMat
 
     Returns:
         The witness as a validated doubly stochastic matrix with
-        ``max_i |y_i - (A x)_i| <= 1e-10``.
+        ``max_i |y_i - (A x)_i| <= 1e-10 * max(1, max_i |x_i|)``.
 
     Raises:
+        ValidationError: if either vector has a NaN or infinite entry.
         NotMajorized: if the pair fails the majorization check, or if the
             inputs are so far from exact majorization that the residual
             target is unreachable.
@@ -230,34 +239,40 @@ def _t_transform_witness(xa: np.ndarray, ya: np.ndarray) -> StochasticMatrix:
     m = xa.size
     ordx = np.argsort(-xa, kind="stable")
     ordy = np.argsort(-ya, kind="stable")
-    v = xa[ordx].copy()
-    target = ya[ordy]
+    v = xa[ordx].tolist()
+    target = ya[ordy].tolist()
     work = np.eye(m)
     scale = max(1.0, float(np.abs(xa).max()))
     eps = 1e-13 * scale
+    # j is the first donor (v > target + eps), k the first receiver after j
+    # (v < target - eps).  A step moves delta <= min(surplus_j, deficit_k),
+    # so no donor drops below its target, no receiver rises above it, and
+    # coordinates before j are matched and never touched again: neither
+    # pointer moves back, and the whole search costs O(m).
+    j = k = 0
     for _ in range(m - 1):
-        diff = v - target
-        high = np.nonzero(diff > eps)[0]
-        if high.size == 0:
+        while j < m and v[j] - target[j] <= eps:
+            j += 1
+        k = max(k, j + 1)
+        while k < m and v[k] - target[k] >= -eps:
+            k += 1
+        if k >= m:
             break
-        j = int(high[0])
-        low = np.nonzero(diff[j + 1 :] < -eps)[0]
-        if low.size == 0:
-            break
-        k = j + 1 + int(low[0])
         delta = min(v[j] - target[j], target[k] - v[k])
         lam = delta / (v[j] - v[k])  # v[j] > target[j] >= target[k] > v[k]
         # The T-transform mixes rows j and k only: O(m) per step.
-        row_j, row_k = work[j].copy(), work[k]
-        work[j] = (1.0 - lam) * row_j + lam * row_k
-        work[k] = lam * row_j + (1.0 - lam) * row_k
-        v[j], v[k] = (1.0 - lam) * v[j] + lam * v[k], lam * v[j] + (1.0 - lam) * v[k]
+        step = lam * (work[k] - work[j])
+        work[j] += step
+        work[k] -= step
+        v[j] -= delta
+        v[k] += delta
     matrix = np.empty((m, m))
     matrix[np.ix_(ordy, ordx)] = work
     residual = float(np.abs(ya - matrix @ xa).max())
-    if residual > 1e-10:
+    bound = 1e-10 * scale
+    if not residual <= bound:
         raise NotMajorized(
-            f"construction residual {residual} exceeds 1e-10; "
+            f"construction residual {residual} exceeds {bound}; "
             "pair is not majorized to working precision"
         )
     return StochasticMatrix(matrix, "doubly")

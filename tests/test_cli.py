@@ -194,6 +194,14 @@ class TestMajorizeCommand:
         assert report["result"]["witness_k"] == 1
         assert report["result"]["matrix"] is None
 
+    def test_non_finite_input_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "m.json"
+        path.write_text('{"x": [1, 2], "y": [NaN, 0]}')  # json.load accepts NaN
+        code, report = run_cli(capsys, "majorize", "--input", str(path))
+        assert code == 2
+        assert report["error_type"] == "ValidationError"
+        assert report["exit_status"] == "error"
+
 
 class TestDivergenceCommand:
     def test_json_input_matches_library(self, tmp_path, capsys):

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from sherman_bounds import (
     DimensionMismatch,
+    DistributionPair,
     LengthMismatch,
     NotMajorized,
     PointOutOfInterval,
@@ -75,6 +76,24 @@ class TestStochasticMatrix:
             StochasticMatrix([[1.0]], "diagonal")
 
 
+def test_array_dataclasses_compare_by_identity():
+    """``==`` and ``hash`` on classes holding arrays go by identity, never raise."""
+    pairs = [
+        (DistributionPair([0.5, 0.5], [0.2, 0.8]), DistributionPair([0.5, 0.5], [0.2, 0.8])),
+        (WeightedVector([1.0, 2.0], [0.5, 0.5]), WeightedVector([1.0, 2.0], [0.5, 0.5])),
+        (StochasticMatrix(np.eye(2), "doubly"), StochasticMatrix(np.eye(2), "doubly")),
+        (
+            majorizes([3.0, 1.0], [2.0, 2.0], with_matrix=True),
+            majorizes([3.0, 1.0], [2.0, 2.0], with_matrix=True),
+        ),
+    ]
+    for first, second in pairs:
+        assert first == first
+        assert (first == second) is False
+        assert first != second
+        assert len({first, second}) == 2
+
+
 class TestMajorizes:
     def test_simple_relations(self):
         assert majorizes([3.0, 2.0, 1.0], [2.0, 2.0, 2.0]).holds
@@ -98,6 +117,18 @@ class TestMajorizes:
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
             majorizes([1.0, 2.0], [1.0])
+
+    @pytest.mark.parametrize("build", [majorizes, construct_doubly_stochastic])
+    @pytest.mark.parametrize("side", ["x", "y"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, build, side, bad):
+        pair = {"x": [1.0, 2.0], "y": [1.5, 1.5]}
+        pair[side] = [bad, 0.0]
+        with pytest.raises(ValidationError, match="finite"):
+            build(pair["x"], pair["y"])
+        if build is majorizes:
+            with pytest.raises(ValidationError, match="finite"):
+                majorizes(pair["x"], pair["y"], with_matrix=True)
 
     @staticmethod
     def loop_witness_k(x, y, tol):
@@ -339,21 +370,35 @@ def dense_t_transform_witness(x, y):
     return np.eye(m)[ordy].T @ work @ np.eye(m)[ordx]
 
 
+def check_against_dense(x, y, scale=1.0):
+    """The witness is doubly stochastic, meets its residual bound and equals the dense loop's.
+
+    ``scale`` multiplies the majorization tolerance and the residual bound.
+    """
+    m = construct_doubly_stochastic(x, y, scale * majorization.DEFAULT_TOL).entries
+    assert np.abs(m @ x - y).max() <= 1e-10 * scale
+    assert np.abs(m.sum(axis=0) - 1.0).max() <= 1e-12
+    assert np.abs(m.sum(axis=1) - 1.0).max() <= 1e-12
+    assert m.min() >= 0.0
+    assert np.abs(m - dense_t_transform_witness(x, y)).max() <= 1e-12
+
+
 class TestConstructionAtScale:
     """The witness at the size the bulk workload uses, against the dense loop."""
 
-    def check(self, x, y):
-        m = construct_doubly_stochastic(x, y).entries
-        assert np.abs(m @ x - y).max() <= 1e-10
-        assert np.abs(m.sum(axis=0) - 1.0).max() <= 1e-12
-        assert np.abs(m.sum(axis=1) - 1.0).max() <= 1e-12
-        assert m.min() >= 0.0
-        assert np.abs(m - dense_t_transform_witness(x, y)).max() <= 1e-12
+    check = staticmethod(check_against_dense)
 
     def test_random_pair_m250(self):
         rng = np.random.default_rng(250)
         x = rng.uniform(0.0, 1.0, 250)
         self.check(x, random_doubly_stochastic(rng, 250) @ x)
+
+    def test_random_pair_m250_at_scale_1e12(self):
+        # The residual bound scales with max|x|, as the loop's eps does.
+        rng = np.random.default_rng(250)
+        x = rng.uniform(0.0, 1.0, 250)
+        y = random_doubly_stochastic(rng, 250) @ x
+        self.check(1e12 * x, 1e12 * y, scale=1e12)
 
     def test_unsorted_tied_pair_m250(self):
         rng = np.random.default_rng(251)
@@ -368,3 +413,49 @@ class TestConstructionAtScale:
         x = np.array([2.0, 5.0, 2.0, 0.0, 5.0, 1.0])
         y = np.array([3.0, 2.0, 3.0, 2.0, 2.5, 2.5])
         self.check(x, y)
+
+
+class TestWitnessPointers:
+    """Each way the donor and receiver pointers advance, against the dense loop."""
+
+    @pytest.mark.parametrize(
+        "x, y",
+        [
+            pytest.param([5.0], [5.0], id="m1"),
+            pytest.param([1.0, 0.0], [0.5, 0.5], id="m2"),
+            pytest.param([1.0, 2.0], [2.0, 1.0], id="m2-permutation"),
+            pytest.param([3.0, 1.0], [2.0, 2.0], id="both-matched-in-one-step"),
+            # surplus 1 < deficit 2: the donor is matched, the receiver is not
+            pytest.param([3.0, 3.0, 0.0], [2.0, 2.0, 2.0], id="donor-matched-first"),
+            # surplus 2 > deficit 1: the receiver is matched, the donor is not
+            pytest.param([4.0, 1.0, 1.0], [2.0, 2.0, 2.0], id="receiver-matched-first"),
+            # the middle differences are within eps and count as matched
+            pytest.param(
+                [3.0, 2.0 + 1e-14, 2.0, 2.0 - 1e-14, 1.0], [2.0] * 5, id="ties-within-eps"
+            ),
+            pytest.param(
+                [1.0, 2.0 + 1e-14, 3.0, 2.0, 2.0 - 1e-14, 2.0, 2.0],
+                [2.0 - 1e-14, 2.0, 2.0 + 1e-14, 2.0, 2.0, 2.0, 2.0],
+                id="unsorted-ties-within-eps",
+            ),
+        ],
+    )
+    def test_matches_dense_loop(self, x, y):
+        check_against_dense(np.array(x), np.array(y))
+
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    @given(
+        values=st.lists(st.integers(0, 4), min_size=1, max_size=40),
+        scale=st.sampled_from([1e-6, 1.0, 1e6, 1e12]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_duplicated_entries_match_dense_loop(self, values, scale, seed):
+        # integer entries repeat in x; averaging pairs makes y repeat too
+        rng = np.random.default_rng(seed)
+        size = len(values)
+        half = size // 2
+        x = scale * np.asarray(values, dtype=float)
+        pairs = np.eye(size)
+        pairs[: 2 * half, : 2 * half] = np.kron(np.eye(half), np.full((2, 2), 0.5))
+        y = (pairs @ random_doubly_stochastic(rng, size) @ x)[rng.permutation(size)]
+        check_against_dense(x, y, scale=max(1.0, float(np.abs(x).max())))
