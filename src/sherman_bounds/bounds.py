@@ -153,10 +153,10 @@ def resolve_modulus(
     Raises:
         ModulusNotCertified: when certification fails or an explicit
             modulus exceeds the certified one.
-        ValueError: on a negative explicit modulus.
+        ValueError: on an explicit modulus that is negative, NaN or infinite.
     """
-    if c is not None and c < 0:
-        raise ValueError(f"modulus must be nonnegative, got {c}")
+    if c is not None and not (math.isfinite(c) and c >= 0):
+        raise ValueError(f"modulus must be finite and nonnegative, got {c}")
     if unchecked:
         if c is None:
             raise ValueError("unchecked modulus requires an explicit value")

@@ -16,13 +16,16 @@ holds in particular for even ``n`` on verified pairs.  Applying that to
 the shift ``g = f - c*t^n`` of an n-strongly convex ``f`` produces the
 higher-order analogue of the quadratically corrected bound.
 
-Integrals are split into smooth pieces, which QUADPACK's first 21-point
-Gauss-Kronrod step integrates in one array evaluation; ``quad`` gets only
-the pieces whose first estimate QUADPACK would not accept.
+The kernel weight is a polynomial between consecutive data points; its
+sign is proved piece by piece from Bernstein coefficients.  Integrals are
+split into the same pieces, which QUADPACK's first 21-point Gauss-Kronrod
+step integrates in one array evaluation; ``quad`` gets only the pieces
+whose first estimate QUADPACK would not accept.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
@@ -41,15 +44,13 @@ from .errors import (
     MajorizationNotVerified,
     ModulusNotCertified,
     OutOfInterval,
+    PointOutOfInterval,
     QuadratureFailure,
 )
 from .majorization import WeightedVector
 
 #: Sign classification threshold for the combined kernel weight.
 KERNEL_SIGN_TOL = 1e-12
-
-#: Default number of grid nodes for the kernel sign scan.
-DEFAULT_KERNEL_GRID = 1001
 
 #: Residual slack for the higher-order bound verdict.
 BOUND_SLACK = 1e-9
@@ -107,6 +108,9 @@ _GK_GAUSS = np.zeros(21)
 _GK_GAUSS[1::2] = _WG + _WG[::-1]
 _EPS, _TINY = np.finfo(float).eps, np.finfo(float).tiny
 
+#: dqk21 adds the node pairs in this order: the Gauss nodes, then the others.
+_DQK21_ORDER = [1, 3, 5, 7, 9, 0, 2, 4, 6, 8]
+
 
 def _first_step(integrand, cuts: np.ndarray, cfg: QuadratureConfig):
     """QUADPACK's first step on every piece ``[cuts[i], cuts[i+1]]`` at once.
@@ -115,19 +119,27 @@ def _first_step(integrand, cuts: np.ndarray, cfg: QuadratureConfig):
     accepts them: ``max_subdivisions > 1``, and the error zero, or within
     ``max(abs_tol / pieces, rel_tol |result|)`` and not ``resasc`` (dqagse's
     round-off flag needs a larger error, so it rejects as well).
-    ``integrand(t, i)`` takes nodes and piece indices that broadcast, and is
-    called once for all pieces.
+    ``integrand(t, i)`` takes nodes ``(21, pieces)`` and piece indices that
+    broadcast, and is called once for all pieces.  Sums run in dqk21's order
+    and so match ``quad`` bit for bit, as the error estimate can amplify one
+    ulp of the Gauss-Kronrod difference to a relative ``1e-4``.
     """
     lo, hi = cuts[:-1], cuts[1:]
     half = 0.5 * (hi - lo)
-    nodes = 0.5 * (lo + hi)[:, None] + half[:, None] * _GK_NODES
-    values = integrand(nodes, np.arange(lo.size)[:, None])
+    nodes = 0.5 * (lo + hi) + half * _GK_NODES[:, None]
+    values = integrand(nodes, np.arange(lo.size))
     with np.errstate(all="ignore"):  # non-finite pieces are rejected and go to quad
-        resk = values @ _GK_KRONROD
-        resabs = np.abs(values) @ _GK_KRONROD * half
-        resasc = np.abs(values - 0.5 * resk[:, None]) @ _GK_KRONROD * half
+        center, left, right = values[10], values[:10], values[:10:-1]
+        kronrod, middle, pairs = _GK_KRONROD[:10, None], _GK_KRONROD[10] * center, left + right
+        resk = functools.reduce(np.add, (kronrod * pairs)[_DQK21_ORDER], middle)
+        resg = functools.reduce(np.add, (_GK_GAUSS[:10, None] * pairs)[1::2])
+        pair_abs = (kronrod * (np.abs(left) + np.abs(right)))[_DQK21_ORDER]
+        resabs = functools.reduce(np.add, pair_abs, np.abs(middle)) * half
+        mean = 0.5 * resk
+        spread = kronrod * (np.abs(left - mean) + np.abs(right - mean))
+        resasc = functools.reduce(np.add, spread, _GK_KRONROD[10] * np.abs(center - mean)) * half
         result = resk * half
-        abserr = np.abs((resk - values @ _GK_GAUSS) * half)
+        abserr = np.abs((resk - resg) * half)
         scaled = resasc * np.minimum(1.0, (200.0 * abserr / resasc) ** 1.5)
         abserr = np.where((resasc != 0.0) & (abserr != 0.0), scaled, abserr)
         floor = np.where(resabs > _TINY / (50.0 * _EPS), 50.0 * _EPS * resabs, 0.0)
@@ -215,18 +227,16 @@ def fink_identity_check(
 
 @dataclass(frozen=True, slots=True)
 class KernelCondition:
-    """Sign scan of the combined kernel weight over the interval.
-
-    The weight is the piecewise polynomial of :func:`check_kernel_condition`,
-    evaluated at the scan nodes only: the even grid joined with every data
-    point, where both the value and the right limit count.
+    """Sign certificate of the combined kernel weight over the interval.
 
     Attributes:
-        classification: ``"nonnegative"``, ``"nonpositive"``, or
-            ``"indefinite"`` at tolerance :data:`KERNEL_SIGN_TOL`.
-        min_value: Smallest weight seen at the scan nodes.
-        max_value: Largest weight seen at the scan nodes.
-        grid_size: Number of evenly spaced scan nodes requested.
+        classification: ``"nonnegative"`` or ``"nonpositive"`` when every
+            piece is proved to stay on that side of ``-/+`` :data:`KERNEL_SIGN_TOL`,
+            else ``"indefinite"``.
+        min_value: Smallest weight at the nodes the certificate evaluated.
+        max_value: Largest weight at those nodes.
+        grid_size: Number of polynomial pieces examined, subdivisions
+            included; 0 for a one-point hull.
     """
 
     classification: str
@@ -246,6 +256,20 @@ def _horner(coeffs, r):
     return acc
 
 
+@functools.lru_cache(maxsize=None)
+def _bernstein_from_values(n: int) -> np.ndarray:
+    """Inverse collocation matrix ``B_j^n(k/n)``: values at ``k/n`` to Bernstein coefficients."""
+    out = np.linalg.inv([[math.comb(n, j) * (k / n) ** j * (1 - k / n) ** (n - j)
+                          for j in range(n + 1)] for k in range(n + 1)])
+    out.setflags(write=False)
+    return out
+
+
+#: Deepest halving of a piece whose sign the Bernstein test leaves open;
+#: a piece still open there makes the weight ``"indefinite"``.
+MAX_SIGN_DEPTH = 30
+
+
 class _KernelWeight:
     """The combined kernel weight ``W`` of a pair, as a piecewise polynomial.
 
@@ -259,7 +283,9 @@ class _KernelWeight:
     ``M_p = sum a_j u_j^p``.  Prefix and suffix sums of the moments over the
     sorted points give the coefficients of every piece.  ``W``'s
     coefficients are the difference of the two sides' coefficients, so
-    identical sides give exact zeros.
+    identical sides give exact zeros.  ``pieces`` holds the coefficients
+    of the piece starting at each of ``cuts`` (the ends and interior data
+    points) but the last.
     """
 
     def __init__(
@@ -271,15 +297,21 @@ class _KernelWeight:
         self.half = 0.5 * (beta - alpha) or 1.0  # a one-point hull has W = 0
         scale = self.half ** (n - 1) * np.array([math.comb(n - 1, p) for p in range(n)])
         self.sides = [self._moment_sums(v, n, scale) for v in (x, y)]
+        self.cuts = _interior_cuts(alpha, beta, np.concatenate([x.points, y.points]))
+        self.pieces = self.coefficients(self.cuts[:-1], "right")
 
     def _moment_sums(self, v: WeightedVector, n: int, scale: np.ndarray):
         order = np.argsort(v.points, kind="stable")
         pts = v.points[order]
         u = (pts - self.center) / self.half
-        terms = v.weights[order, None] * u[:, None] ** np.arange(n) * scale
-        zero = np.zeros((1, n))
-        suffix = np.concatenate([np.cumsum(terms[::-1], axis=0)[::-1], zero])
-        prefix = np.concatenate([zero, np.cumsum(terms, axis=0)])
+        terms = np.empty((n, pts.size))
+        terms[0] = v.weights[order]
+        for p in range(1, n):
+            np.multiply(terms[p - 1], u, out=terms[p])
+        terms *= scale[:, None]
+        zero = np.zeros((n, 1))
+        suffix = np.concatenate([np.cumsum(terms[:, ::-1], axis=1)[:, ::-1], zero], axis=1)
+        prefix = np.concatenate([zero, np.cumsum(terms, axis=1)], axis=1)
         return pts, suffix, prefix
 
     def coefficients(self, t: np.ndarray, side: str) -> tuple[np.ndarray, np.ndarray]:
@@ -292,7 +324,7 @@ class _KernelWeight:
         (px, sx, qx), (py, sy, qy) = self.sides
         i = np.searchsorted(px, t, side=side)
         j = np.searchsorted(py, t, side=side)
-        return (sx[i] - sy[j]).T, (qx[i] - qy[j]).T
+        return sx[:, i] - sy[:, j], qx[:, i] - qy[:, j]
 
     def values(self, t: np.ndarray, side: str = "left") -> np.ndarray:
         """``W`` at the nodes ``t``, or its right limits with ``side="right"``."""
@@ -308,52 +340,75 @@ def check_kernel_condition(
     x: WeightedVector,
     y: WeightedVector,
     n: int,
-    t_grid_size: int = DEFAULT_KERNEL_GRID,
     *,
     interval: Optional[tuple[float, float]] = None,
+    weight: Optional[_KernelWeight] = None,
 ) -> KernelCondition:
-    """Classify the sign of the combined kernel weight for a pair.
+    """Prove the sign of the combined kernel weight for a pair.
 
     The weight ``W(t) = S_a (x-t)^(n-1) k(t,x) - S_b (y-t)^(n-1) k(t,y)``
-    is a polynomial of degree ``n`` between consecutive data points.  It is
-    built once from prefix sums of the weighted power moments and scanned
-    on an even grid joined with every data point, where both the value and
-    the right limit are inspected (the kernel jumps there).  The cost is
-    ``O(m log m + (m + t_grid_size) n)`` for ``m`` data points; a dip
-    between scan nodes goes unseen.  A one-signed weight is what turns the
-    difference identity into a bound.
+    is a polynomial of degree ``n`` between consecutive data points, built
+    once from prefix sums of the weighted power moments.  Each piece is
+    evaluated at ``n + 1`` even nodes, its ends included (each data point's
+    value and right limit), and mapped to its Bernstein coefficients, which
+    bound it (Farouki & Rajan 1987): all ``>= -tol`` prove ``W``
+    nonnegative, all ``<= tol`` nonpositive (``tol =`` :data:`KERNEL_SIGN_TOL`).
+    Open pieces are halved and evaluated again, at most :data:`MAX_SIGN_DEPTH`
+    times; values below ``-tol`` and above ``tol`` prove a sign change, and
+    a piece open at the cap makes ``W`` ``"indefinite"``.  A coefficient's
+    rounding error is that of the values times the inverse collocation
+    matrix's infinity norm (under 90 for ``n <= 6``), plus the rounding of
+    the product.  Without halving, the cost is ``O(m log m + m n^2)`` for
+    ``m`` data points.  A one-signed weight turns the identity into a bound.
 
     Args:
         x: Majorant side.
         y: Majorized side.
         n: Identity order (the kernel uses the ``n-1`` power).
-        t_grid_size: Number of evenly spaced scan nodes.
-        interval: Scan interval; defaults to the hull of the data points.
+        interval: Interval of ``W``; defaults to the hull of the data points.
+        weight: The pair's weight on that interval, if already built.
+
+    Raises:
+        PointOutOfInterval: if a data point leaves the explicit interval.
+        ValueError: if ``n < 1`` or the explicit interval is empty.
     """
     if n < 1:
         raise ValueError(f"order must be >= 1, got {n}")
-    if t_grid_size < 2:
-        raise ValueError(f"t_grid_size must be >= 2, got {t_grid_size}")
-    if interval is None:
-        lo = float(min(x.points.min(), y.points.min()))
-        hi = float(max(x.points.max(), y.points.max()))
-    else:
-        lo, hi = float(interval[0]), float(interval[1])
-    breaks = np.concatenate([x.points, y.points])
-    breaks = breaks[(breaks >= lo) & (breaks <= hi)]
-    grid = np.unique(np.concatenate([np.linspace(lo, hi, t_grid_size), breaks]))
-    weight = _KernelWeight(x, y, n, lo, hi)
-    values = weight.values(grid)
-    right = weight.values(breaks, side="right")
-    lo_val = float(min(values.min(), right.min())) if right.size else float(values.min())
-    hi_val = float(max(values.max(), right.max())) if right.size else float(values.max())
-    if lo_val >= -KERNEL_SIGN_TOL:
-        label = "nonnegative"
-    elif hi_val <= KERNEL_SIGN_TOL:
-        label = "nonpositive"
-    else:
-        label = "indefinite"
-    return KernelCondition(label, lo_val, hi_val, t_grid_size)
+    if weight is None:
+        first = float(min(x.points.min(), y.points.min()))
+        last = float(max(x.points.max(), y.points.max()))
+        lo, hi = (first, last) if interval is None else map(float, interval)
+        if interval is not None and not lo < hi:
+            raise ValueError(f"interval must have lo < hi, got {interval}")
+        slack = 1e-12 * max(1.0, abs(lo), abs(hi))
+        if first < lo - slack or last > hi + slack:
+            raise PointOutOfInterval(f"data points span [{first}, {last}], outside [{lo}, {hi}]")
+        weight = _KernelWeight(x, y, n, lo, hi)
+    suffix, prefix = weight.pieces
+    if suffix.shape[1] == 0:
+        return KernelCondition("nonnegative", 0.0, 0.0, 0)
+    n, lo, hi = suffix.shape[0], weight.cuts[:-1], weight.cuts[1:]
+    w_min, w_max, count, tol = math.inf, -math.inf, 0, KERNEL_SIGN_TOL
+    for depth in range(MAX_SIGN_DEPTH + 1):
+        t = lo + (hi - lo) * (np.arange(n + 1) / n)[:, None]
+        t[-1] = hi
+        values = weight.polynomial(t, suffix, prefix)
+        coeffs = _bernstein_from_values(n) @ values
+        w_min, w_max = min(w_min, float(values.min())), max(w_max, float(values.max()))
+        count += lo.size
+        maybe_nonneg, maybe_nonpos = w_min >= -tol, w_max <= tol
+        low, high = coeffs.min(axis=0) < -tol, coeffs.max(axis=0) > tol
+        if maybe_nonneg and not low.any():
+            return KernelCondition("nonnegative", w_min, w_max, count)
+        if maybe_nonpos and not high.any():
+            return KernelCondition("nonpositive", w_min, w_max, count)
+        if not (maybe_nonneg or maybe_nonpos) or depth == MAX_SIGN_DEPTH:
+            return KernelCondition("indefinite", w_min, w_max, count)
+        # pieces proved for every sign still possible drop out; the rest are halved
+        keep = (low & maybe_nonneg) | (high & maybe_nonpos)
+        mid = 0.5 * (lo[keep] + hi[keep])
+        lo, hi = np.concatenate([lo[keep], mid]), np.concatenate([mid, hi[keep]])
+        suffix, prefix = np.tile(suffix[:, keep], 2), np.tile(prefix[:, keep], 2)
 
 
 @dataclass(frozen=True, slots=True)
@@ -396,8 +451,6 @@ def sherman_difference_identity(
     spec: FunctionSpec,
     n: int,
     quad_cfg: QuadratureConfig = QuadratureConfig(),
-    *,
-    kernel_grid_size: int = DEFAULT_KERNEL_GRID,
 ) -> FinkReport:
     """Decompose ``S_a f(x) - S_b f(y)`` by the n-th order identity.
 
@@ -416,6 +469,7 @@ def sherman_difference_identity(
     Each piece between consecutive data points is integrated against that
     piece's polynomial of ``W``: one 21-point Gauss-Kronrod pass over all
     pieces, with ``quad`` only for the pieces QUADPACK would subdivide.
+    ``kernel_condition`` is proved on the same pieces; ``W`` is built once.
 
     Raises:
         MajorizationNotVerified: if either moment condition fails.
@@ -424,18 +478,15 @@ def sherman_difference_identity(
     """
     lhs, boundary = _difference_terms(x, y, spec, n)
     al, be = spec.interval
-    cuts = _interior_cuts(al, be, np.concatenate([x.points, y.points]))
     weight = _KernelWeight(x, y, n, al, be)
-    suffix, prefix = weight.coefficients(cuts[:-1], "right")
+    suffix, prefix = weight.pieces
 
     def integrand(t, i):
         return weight.polynomial(t, suffix[:, i], prefix[:, i]) * spec.evaluate(t, order=n)
 
-    integral = _integrate_pieces(integrand, cuts, quad_cfg) / (math.factorial(n - 1) * (be - al))
-
-    condition = check_kernel_condition(
-        x, y, n, kernel_grid_size, interval=spec.interval
-    ).classification
+    integral = _integrate_pieces(integrand, weight.cuts, quad_cfg)
+    integral /= math.factorial(n - 1) * (be - al)
+    condition = check_kernel_condition(x, y, n, weight=weight).classification
     return FinkReport(
         order=n,
         lhs=lhs,
@@ -508,7 +559,6 @@ def higher_order_sherman_bound(
     n: int,
     c: float,
     *,
-    kernel_grid_size: int = DEFAULT_KERNEL_GRID,
     sample_count: int = 200,
     seed: int = 0,
     unchecked_modulus: bool = False,
@@ -521,19 +571,21 @@ def higher_order_sherman_bound(
     must be one-signed on the interval; dropping the integral of
     ``g^(n) >= 0`` against it then leaves a valid inequality between the
     shifted difference and its endpoint-derivative sum.  Nothing is
-    integrated: one kernel scan decides the sign, and the two sides come
-    from the identity's endpoint terms.
+    integrated: one Bernstein certificate of :func:`check_kernel_condition`
+    proves the sign, and the two sides come from the identity's endpoint
+    terms.
 
     Raises:
-        KernelConditionIndefinite: if the kernel weight changes sign.
+        ValueError: unless ``c`` is finite and nonnegative.
+        KernelConditionIndefinite: if the certificate cannot prove one sign.
         ModulusNotCertified: if sampling refutes the modulus claim.
         MajorizationNotVerified: if either moment condition of
             :func:`sherman_difference_identity` fails.
         MissingDerivative: if derivatives up to order ``n`` are missing.
     """
-    if c < 0:
-        raise ValueError(f"modulus must be nonnegative, got {c}")
-    condition = check_kernel_condition(x, y, n, kernel_grid_size, interval=spec.interval)
+    if not (math.isfinite(c) and c >= 0):
+        raise ValueError(f"modulus must be finite and nonnegative, got {c}")
+    condition = check_kernel_condition(x, y, n, interval=spec.interval)
     if condition.classification == "indefinite":
         raise KernelConditionIndefinite(
             f"kernel weight spans [{condition.min_value}, {condition.max_value}]; "

@@ -85,6 +85,22 @@ class TestResolveModulus:
         with pytest.raises(ValueError):
             resolve_modulus(EXP01, -0.1)
 
+    @pytest.mark.parametrize("c", [math.nan, math.inf])
+    def test_non_finite_modulus_rejected(self, c):
+        # NaN passes a plain ``c < 0`` test and would give NaN links
+        rng = np.random.default_rng(38)
+        x, y, witness = random_chain_instance(rng, (0.0, 1.0))
+        mean = WeightedVector([0.25, 0.75], [0.5, 0.5])
+        for unchecked in (False, True):
+            with pytest.raises(ValueError):
+                resolve_modulus(EXP01, c, unchecked=unchecked)
+            with pytest.raises(ValueError):
+                full_chain(x, y, witness, EXP01, c, unchecked_modulus=unchecked)
+            with pytest.raises(ValueError):
+                jensen_strong(mean, EXP01, c, unchecked=unchecked)
+            with pytest.raises(ValueError):
+                converse_sherman_strong(x, x.weight_sum, EXP01, c, unchecked=unchecked)
+
 
 class TestJensen:
     def test_two_point_mean(self):

@@ -1,9 +1,11 @@
-"""Identity checks, kernel sign scans, and higher-order bounds."""
+"""Identity checks, kernel sign certificates, and higher-order bounds."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from sherman_bounds import (
@@ -40,6 +42,53 @@ def fsum_kernel_weight(t, x, y, n, alpha, beta, right_limit=False) -> float:
             on_alpha = t < p if right_limit else t <= p
             terms.append(sign * w * (p - t) ** (n - 1) * ((t - alpha) if on_alpha else (t - beta)))
     return math.fsum(terms)
+
+
+def certificate_nodes(x, y, n, interval):
+    """``check_kernel_condition`` with every node it evaluated and the value there."""
+    nodes, values = [], []
+    real = fink._KernelWeight.polynomial
+
+    def recording(self, t, suffix, prefix):
+        out = real(self, t, suffix, prefix)
+        nodes.extend(np.broadcast_to(t, out.shape).ravel().tolist())
+        values.extend(out.ravel().tolist())
+        return out
+
+    with mock.patch.object(fink._KernelWeight, "polynomial", recording):
+        cond = check_kernel_condition(x, y, n, interval=interval)
+    return cond, nodes, values
+
+
+def oracle_at_nodes(x, y, n, lo, hi, nodes, values):
+    """The fsum value or right limit of ``W`` that each evaluated value stands for.
+
+    A piece's polynomial at its left end is ``W``'s right limit there, and
+    anywhere else it is ``W``'s value, so each value must match one of them.
+    """
+    out = []
+    for t, w in zip(nodes, values):
+        value = fsum_kernel_weight(t, x, y, n, lo, hi)
+        limit = fsum_kernel_weight(t, x, y, n, lo, hi, right_limit=True)
+        out.append(value if abs(w - value) <= abs(w - limit) else limit)
+    return out
+
+
+def scan_oracle(x, y, n, alpha, beta, nodes):
+    """``W`` at ``nodes`` and every data point, and its right limits at the data points.
+
+    :func:`fsum_kernel_weight` on whole arrays: the terms are formed
+    elementwise and each node's terms are summed by fsum.
+    """
+    pts = np.concatenate([x.points, y.points])
+    weights = np.concatenate([x.weights, -y.weights])
+    out = []
+    for t, right_limit in ((np.concatenate([nodes, pts]), False), (pts, True)):
+        t = t[:, None]
+        on_alpha = t < pts if right_limit else t <= pts
+        terms = weights * (pts - t) ** (n - 1) * np.where(on_alpha, t - alpha, t - beta)
+        out += map(math.fsum, terms.tolist())
+    return out
 
 
 def steep_spec(rate: float = 8.0) -> FunctionSpec:
@@ -247,7 +296,27 @@ class TestKernelCondition:
         with pytest.raises(ValueError):
             check_kernel_condition(v, v, 0)
         with pytest.raises(ValueError):
-            check_kernel_condition(v, v, 2, t_grid_size=1)
+            check_kernel_condition(v, v, 2, interval=(1.0, 0.0))
+
+    def test_data_outside_the_interval_is_refused(self):
+        # W is built from k(t, x) at points where k is undefined
+        x = WeightedVector([0.1, 0.9], [1.0, 1.0])
+        y = WeightedVector([0.5, 0.5], [1.0, 1.0])
+        with pytest.raises(PointOutOfInterval):
+            check_kernel_condition(x, y, 2, interval=(0.4, 0.6))
+        with pytest.raises(PointOutOfInterval):
+            check_kernel_condition(y, x, 2, interval=(0.4, 0.6))
+        # the same relative slack as WeightedVector
+        edge = WeightedVector([0.6 + 1e-13, 0.4 - 1e-13], [1.0, 1.0])
+        cond = check_kernel_condition(edge, edge, 2, interval=(0.4, 0.6))
+        assert cond.classification == "nonnegative"
+
+    def test_one_point_hull_has_no_pieces(self):
+        v = WeightedVector([0.5, 0.5], [1.0, 2.0])
+        w = WeightedVector([0.5], [2.0])
+        for n in (1, 2, 5):
+            assert check_kernel_condition(v, w, n) == fink.KernelCondition(
+                "nonnegative", 0.0, 0.0, 0)
 
 
 class TestPiecewiseKernelWeight:
@@ -307,19 +376,23 @@ class TestPiecewiseKernelWeight:
         for x, y, interval in self.pairs():
             lo, hi = interval if interval is not None else self.hull(x, y)
             breaks = np.concatenate([x.points, y.points])
-            nodes = np.unique(np.concatenate([np.linspace(lo, hi, 1001), breaks]))
+            pieces = np.unique(np.concatenate([[lo, hi], breaks])).size - 1
             mass = math.fsum(np.abs(x.weights)) + math.fsum(np.abs(y.weights))
             for n in range(1, 6):
-                oracle = [fsum_kernel_weight(t, x, y, n, lo, hi) for t in nodes.tolist()]
-                oracle += [
-                    fsum_kernel_weight(t, x, y, n, lo, hi, right_limit=True)
-                    for t in breaks.tolist()
-                ]
-                cond = check_kernel_condition(x, y, n, interval=interval)
+                cond, nodes, values = certificate_nodes(x, y, n, interval)
+                oracle = oracle_at_nodes(x, y, n, lo, hi, nodes, values)
                 tol = 1e-13 * mass * (hi - lo) ** n
+                assert max(abs(w - o) for w, o in zip(values, oracle)) <= tol
+                assert cond.min_value == min(values) and cond.max_value == max(values)
                 assert abs(cond.min_value - min(oracle)) <= tol
                 assert abs(cond.max_value - max(oracle)) <= tol
-                assert cond.grid_size == 1001
+                # n + 1 nodes on every piece examined, halves included
+                assert cond.grid_size >= pieces and len(nodes) == cond.grid_size * (n + 1)
+                # each interior data point ends one piece (the value there)
+                # and starts the next (the right limit)
+                for t in breaks.tolist():
+                    if lo < t < hi:
+                        assert nodes.count(t) >= 2
 
     def test_identical_sides_are_exactly_zero(self):
         for x, _, interval in self.pairs():
@@ -327,6 +400,88 @@ class TestPiecewiseKernelWeight:
                 cond = check_kernel_condition(x, x, n, interval=interval)
                 assert cond.min_value == cond.max_value == 0.0
                 assert cond.classification == "nonnegative"
+
+
+def old_grid_scan(x, y, n, lo, hi) -> str:
+    """The sign scan the certificate replaced: 1001 even nodes and the data points."""
+    oracle = scan_oracle(x, y, n, lo, hi, np.linspace(lo, hi, 1001))
+    if min(oracle) >= -fink.KERNEL_SIGN_TOL:
+        return "nonnegative"
+    if max(oracle) <= fink.KERNEL_SIGN_TOL:
+        return "nonpositive"
+    return "indefinite"
+
+
+class TestSignCertificate:
+    """The per-piece Bernstein certificate against dense fsum oracles."""
+
+    TOL = fink.KERNEL_SIGN_TOL
+
+    def test_dip_between_old_grid_nodes(self):
+        # y's weights match x's moments of order 0 to 2 exactly, so at n = 3
+        # W vanishes outside [0.50011, 0.5009], between the grid nodes 0.500
+        # and 0.501, and inside it is a C^1 quadratic spline
+        x = WeightedVector([0.5009, 0.5007, 0.50018], [2.0, 1.7, 2.0])
+        y = WeightedVector([0.50038, 0.50011, 0.50086], [401 / 270, 3776 / 3375, 3.096])
+        assert old_grid_scan(x, y, 3, 0.0, 1.0) == "nonnegative"
+        dip = min(scan_oracle(x, y, 3, 0.0, 1.0, np.linspace(0.5005, 0.5006, 1001)))
+        assert dip < -1e3 * self.TOL
+        cond = check_kernel_condition(x, y, 3, interval=(0.0, 1.0))
+        assert cond.classification == "indefinite"
+        assert cond.min_value < -self.TOL < self.TOL < cond.max_value
+        # both moment conditions hold, so only the certificate refuses the bound
+        with pytest.raises(KernelConditionIndefinite):
+            higher_order_sherman_bound(x, y, EXP01, 3, 0.0)
+
+    def test_bisection_proves_a_sign(self, monkeypatch):
+        # a Bernstein coefficient of one piece is below -tol, W is not
+        x = WeightedVector([0.89, 0.3], [0.9, 1.4])
+        y = WeightedVector([0.26], [1.1])
+        cond = check_kernel_condition(x, y, 4, interval=(0.0, 1.0))
+        assert cond.classification == "nonnegative" and cond.grid_size > 4
+        assert min(scan_oracle(x, y, 4, 0.0, 1.0, np.linspace(0.0, 1.0, 20001))) >= -self.TOL
+        # a piece still open at the depth cap never counts as one-signed
+        monkeypatch.setattr(fink, "MAX_SIGN_DEPTH", 0)
+        capped = check_kernel_condition(x, y, 4, interval=(0.0, 1.0))
+        assert capped.classification == "indefinite" and capped.grid_size == 4
+        assert capped.min_value >= 0.0
+
+    def test_bisection_finds_a_sign_change(self, monkeypatch):
+        x, y = WeightedVector([0.65], [1.1]), WeightedVector([0.55], [1.6])
+        cond = check_kernel_condition(x, y, 3, interval=(0.0, 1.0))
+        assert cond.classification == "indefinite" and cond.grid_size > 3
+        assert cond.min_value < -self.TOL < self.TOL < cond.max_value
+        # the first nodes of every piece are all nonnegative
+        monkeypatch.setattr(fink, "MAX_SIGN_DEPTH", 0)
+        assert check_kernel_condition(x, y, 3, interval=(0.0, 1.0)).min_value >= 0.0
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(
+        seed=st.integers(0, 2**20),
+        n=st.integers(1, 6),
+        swap=st.booleans(),
+        lo=st.sampled_from([-3.0, 0.0, 0.5, 1e3]),
+        width=st.sampled_from([1e-3, 0.5, 1.0, 4.0]),
+    )
+    def test_one_signed_verdicts_are_sound(self, seed, n, swap, lo, width):
+        hi = lo + width
+        x, y, _ = random_chain_instance(np.random.default_rng(seed), (lo, hi))
+        if swap:
+            x, y = y, x
+        cond, nodes, values = certificate_nodes(x, y, n, (lo, hi))
+        mass = math.fsum(np.abs(x.weights)) + math.fsum(np.abs(y.weights))
+        rounding = 1e-13 * mass * width**n
+        oracle = oracle_at_nodes(x, y, n, lo, hi, nodes, values)
+        assert abs(cond.min_value - min(oracle)) <= rounding
+        assert abs(cond.max_value - max(oracle)) <= rounding
+        if cond.classification == "indefinite":
+            return
+        dense = scan_oracle(x, y, n, lo, hi, np.linspace(lo, hi, 20001))
+        if cond.classification == "nonnegative":
+            assert min(dense) >= -(self.TOL + rounding)
+        else:
+            assert cond.classification == "nonpositive"
+            assert max(dense) <= self.TOL + rounding
 
 
 class TestDifferenceIdentity:
@@ -370,6 +525,23 @@ class TestDifferenceIdentity:
         )
         oracle = 0.5 * (math.exp(1.0) * s2(1.0) - math.exp(0.0) * s2(0.0))
         assert abs(report.boundary_terms - oracle) <= 1e-12
+
+    def test_one_weight_per_identity(self, monkeypatch):
+        built = []
+
+        class CountingWeight(fink._KernelWeight):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(fink, "_KernelWeight", CountingWeight)
+        x, y, _ = random_chain_instance(np.random.default_rng(53), (0.0, 1.0))
+        for n in (2, 3):
+            built.clear()
+            report = sherman_difference_identity(x, y, EXP01, n)
+            assert len(built) == 1
+            cond = check_kernel_condition(x, y, n, interval=(0.0, 1.0))
+            assert report.kernel_condition == cond.classification
 
     def test_moment_guards(self):
         x = WeightedVector([0.2, 0.8], [1.0, 1.0])
@@ -500,6 +672,14 @@ class TestHigherOrderBound:
         v = WeightedVector([0.5], [1.0])
         with pytest.raises(ValueError):
             higher_order_sherman_bound(v, v, EXP01, 2, -1.0)
+
+    @pytest.mark.parametrize("c", [math.nan, math.inf])
+    def test_non_finite_modulus_rejected(self, c):
+        # NaN passes a plain ``c < 0`` test and would give NaN sides
+        x, y, _ = random_chain_instance(np.random.default_rng(54), (0.0, 1.0))
+        for unchecked in (False, True):
+            with pytest.raises(ValueError):
+                higher_order_sherman_bound(x, y, EXP01, 2, c, unchecked_modulus=unchecked)
 
     def test_nonpositive_kernel_flips_the_inequality(self):
         rng = np.random.default_rng(47)
