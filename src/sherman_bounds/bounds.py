@@ -12,16 +12,18 @@ chain reads, writing ``S_b f(y)`` for ``sum_i b_i f(y_i)`` and so on::
 
 with ``B = sum_i b_i = sum_j a_j``.  Setting ``c = 0`` recovers the
 classical majorization and endpoint bounds; a larger certified ``c``
-tightens both ends.  The module also exposes the two one-row special
-cases (mean-versus-average and the endpoint chord bound) and a
-``full_chain`` driver that verifies the majorization witness, resolves
-the modulus, and reports every link of the chain.
+tightens both ends.  Each link has one evaluator, shared by
+``sherman_strong``, ``converse_sherman_strong`` and the ``full_chain``
+driver, which verifies the witness, resolves the modulus and reports
+every link.  Of the one-row special cases, the endpoint chord bound is
+the converse at total weight one; the mean-versus-average bound keeps
+its own centred spread ``S_a (x - xbar)^2``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -114,19 +116,9 @@ class BoundChain:
     verification: Optional[VerificationResult] = None
 
     def to_dict(self) -> dict:
-        """Flat JSON-ready mapping of every field."""
-        return {
-            "lhs": self.lhs,
-            "strong_bound": self.strong_bound,
-            "plain_bound": self.plain_bound,
-            "converse_bound": self.converse_bound,
-            "correction_quadratic": self.correction_quadratic,
-            "correction_converse": self.correction_converse,
-            "modulus": self.modulus,
-            "chain_holds": self.chain_holds,
-            "fuchs_case": self.fuchs_case,
-            "warnings": list(self.warnings),
-        }
+        """Flat JSON-ready mapping of every field but ``verification``."""
+        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "verification"}
+        return dict(out, warnings=list(self.warnings))
 
 
 def resolve_modulus(
@@ -205,6 +197,28 @@ def _endpoint_width(spec: FunctionSpec) -> float:
     return width
 
 
+def _sherman_link(
+    x: WeightedVector, y: WeightedVector, spec: FunctionSpec, modulus: float
+) -> tuple[float, float, float]:
+    """``(S_b f(y), S_a f(x), c * (S_a x^2 - S_b y^2))``: the strong Sherman link."""
+    lhs = float(y.weights @ spec.evaluate(y.points))
+    plain = float(x.weights @ spec.evaluate(x.points))
+    delta = float(x.weights @ (x.points * x.points)) - float(y.weights @ (y.points * y.points))
+    return lhs, plain, modulus * delta
+
+
+def _converse_link(
+    x: WeightedVector, total: float, spec: FunctionSpec, modulus: float
+) -> tuple[float, float]:
+    """``(endpoint bound, c * S_a (beta - x)(x - alpha))`` at total weight ``total``."""
+    width = _endpoint_width(spec)
+    al, be = spec.interval
+    sax = float(x.weights @ x.points)
+    correction = modulus * float(x.weights @ ((be - x.points) * (x.points - al)))
+    numerator = (total * be - sax) * spec.evaluator(al) + (sax - total * al) * spec.evaluator(be)
+    return float(numerator / width - correction), correction
+
+
 def jensen_strong(
     x: WeightedVector,
     spec: FunctionSpec,
@@ -229,6 +243,8 @@ def jensen_strong(
     pts = x.points
     wts = x.weights
     xbar = float(wts @ pts)
+    # Centred on purpose: the one-row chain with y = xbar would compute
+    # S_a x^2 - xbar^2, which cancels when |xbar| is large next to the spread.
     variance = float(wts @ ((pts - xbar) ** 2))
     return JensenBound(
         lhs=float(spec.evaluator(xbar)),
@@ -249,7 +265,8 @@ def lah_ribaric_strong(
 
     For normalized weights, ``S_a f(x)`` is at most the chord of ``f``
     over ``[alpha, beta]`` evaluated at the weighted mean, minus
-    ``c * S_a (beta - x)(x - alpha)``.
+    ``c * S_a (beta - x)(x - alpha)``: the bound of
+    :func:`converse_sherman_strong` at total weight one.
 
     Raises:
         WeightsNotNormalized: if the weights do not sum to one.
@@ -257,16 +274,8 @@ def lah_ribaric_strong(
         ModulusNotCertified: per :func:`resolve_modulus`.
     """
     _check_normalized(x.weights)
-    spec.require_inside(x.points)
-    modulus, _ = resolve_modulus(spec, c, certificate, unchecked=unchecked)
-    width = _endpoint_width(spec)
-    al, be = spec.interval
-    pts = x.points
-    wts = x.weights
-    xbar = float(wts @ pts)
-    chord = ((be - xbar) * spec.evaluator(al) + (xbar - al) * spec.evaluator(be)) / width
-    correction = modulus * float(wts @ ((be - pts) * (pts - al)))
-    return LahRibaricBound(lhs=float(wts @ spec.evaluate(pts)), rhs=float(chord - correction))
+    rhs = converse_sherman_strong(x, 1.0, spec, c, certificate=certificate, unchecked=unchecked)
+    return LahRibaricBound(lhs=float(x.weights @ spec.evaluate(x.points)), rhs=rhs)
 
 
 def converse_sherman_strong(
@@ -285,22 +294,15 @@ def converse_sherman_strong(
     the chord bound of :func:`lah_ribaric_strong`).
 
     Raises:
+        ValueError: unless ``total_weight`` is finite and nonnegative.
         DegenerateInterval: if the interval is numerically a point.
         ModulusNotCertified: per :func:`resolve_modulus`.
     """
+    if not (math.isfinite(total_weight) and total_weight >= 0):
+        raise ValueError(f"total weight must be finite and nonnegative, got {total_weight}")
     spec.require_inside(x.points)
     modulus, _ = resolve_modulus(spec, c, certificate, unchecked=unchecked)
-    width = _endpoint_width(spec)
-    al, be = spec.interval
-    pts = x.points
-    wts = x.weights
-    sax = float(wts @ pts)
-    chord = (
-        (total_weight * be - sax) * spec.evaluator(al)
-        + (sax - total_weight * al) * spec.evaluator(be)
-    ) / width
-    correction = modulus * float(wts @ ((be - pts) * (pts - al)))
-    return float(chord - correction)
+    return _converse_link(x, total_weight, spec, modulus)[0]
 
 
 class ShermanBound(NamedTuple):
@@ -345,10 +347,7 @@ def sherman_strong(
             "pass a stochastic witness matrix or set assume_majorized=True"
         )
     modulus, _ = resolve_modulus(spec, c, certificate, unchecked=unchecked_modulus)
-    lhs = float(y.weights @ spec.evaluate(y.points))
-    plain = float(x.weights @ spec.evaluate(x.points))
-    delta = float(x.weights @ (x.points * x.points)) - float(y.weights @ (y.points * y.points))
-    correction = modulus * delta
+    lhs, plain, correction = _sherman_link(x, y, spec, modulus)
     return ShermanBound(
         lhs=lhs,
         strong_bound=plain - correction,
@@ -405,26 +404,12 @@ def _chain_links(
     """The links of :func:`full_chain` for points inside the interval, given its witness check."""
     _require_passed(result)
     modulus, _ = resolve_modulus(spec, c, certificate, unchecked=unchecked_modulus)
-    width = _endpoint_width(spec)
-    al, be = spec.interval
-
-    warnings: list[str] = []
     total = y.weight_sum
-    if total <= 0.0:
-        warnings.append("all weights are zero; every sum in the chain is vacuous")
-
-    lhs = float(y.weights @ spec.evaluate(y.points))
-    plain = float(x.weights @ spec.evaluate(x.points))
-    delta = float(x.weights @ (x.points * x.points)) - float(y.weights @ (y.points * y.points))
-    correction_quadratic = modulus * delta
+    warnings = ("all weights are zero; every sum in the chain is vacuous",) if total <= 0.0 else ()
+    # The converse link first: a degenerate interval fails before f is evaluated.
+    converse, correction_converse = _converse_link(x, total, spec, modulus)
+    lhs, plain, correction_quadratic = _sherman_link(x, y, spec, modulus)
     strong = plain - correction_quadratic
-
-    sax = float(x.weights @ x.points)
-    correction_converse = modulus * float(x.weights @ ((be - x.points) * (x.points - al)))
-    converse = (
-        (total * be - sax) * spec.evaluator(al) + (sax - total * al) * spec.evaluator(be)
-    ) / width - correction_converse
-
     chain_holds = (
         lhs <= strong + CHAIN_SLACK
         and strong <= plain + CHAIN_SLACK
@@ -436,12 +421,12 @@ def _chain_links(
         lhs=lhs,
         strong_bound=strong,
         plain_bound=plain,
-        converse_bound=float(converse),
+        converse_bound=converse,
         correction_quadratic=correction_quadratic,
         correction_converse=correction_converse,
         modulus=modulus,
         chain_holds=chain_holds,
         fuchs_case=fuchs,
-        warnings=tuple(warnings),
+        warnings=warnings,
         verification=result,
     )

@@ -21,7 +21,7 @@ A named catalog of common functions (``square``, ``exp``, ``xlogx``,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -375,25 +375,13 @@ def check_derivative_consistency(
 
 
 def _power_spec(name: str, exponent: float, interval, order: int) -> FunctionSpec:
-    lo, _ = float(interval[0]), float(interval[1])
     is_integer = float(exponent).is_integer() and exponent >= 0
-    if not is_integer and lo <= 0.0:
+    if not is_integer and float(interval[0]) <= 0.0:
         raise ValidationError(
             f"{name} with non-integer exponent {exponent} needs a positive interval"
         )
-
-    def ev(t: float, _a=exponent) -> float:
-        return t**_a
-
-    derivs: list[Evaluator] = []
-    for k in range(1, order + 1):
-        coeff = math.prod(exponent - i for i in range(k))
-
-        def dk(t: float, _c=coeff, _p=exponent - k) -> float:
-            return _c * t**_p
-
-        derivs.append(dk if coeff != 0.0 else constant(0.0))
-    return FunctionSpec(name=name, evaluator=ev, derivatives=tuple(derivs), interval=tuple(interval))
+    terms = _power_terms(1.0, exponent, order + 1)
+    return FunctionSpec(name, terms[0], tuple(terms[1:]), tuple(interval))
 
 
 def constant(value: float) -> Evaluator:
@@ -405,14 +393,35 @@ def constant(value: float) -> Evaluator:
     return const
 
 
+def _power_terms(
+    scale: float, exponent: float, count: int, shift: float = -0.0
+) -> list[Evaluator]:
+    """Derivatives of orders ``0..count-1`` of ``scale * (t + shift)**exponent``.
+
+    Order k is ``scale * exponent * ... * (exponent - k + 1)`` times
+    ``(t + shift)**(exponent - k)``; a zero coefficient gives
+    ``constant(0.0)``.  The default shift ``-0.0`` keeps ``t + shift == t``
+    for every ``t``, a signed zero included.
+    """
+    terms: list[Evaluator] = []
+    coeff = scale
+    for k in range(count):
+
+        def term(t: float, _c=coeff, _s=shift, _p=exponent - k) -> float:
+            return _c * (t + _s) ** _p
+
+        terms.append(term if coeff != 0.0 else constant(0.0))
+        coeff *= exponent - k
+    return terms
+
+
 def _exp_spec(interval, order: int) -> FunctionSpec:
     derivs = tuple(np.exp for _ in range(order))
     return FunctionSpec(name="exp", evaluator=np.exp, derivatives=derivs, interval=tuple(interval))
 
 
 def _xlogx_spec(interval, order: int) -> FunctionSpec:
-    lo, _ = float(interval[0]), float(interval[1])
-    if lo <= 0.0:
+    if float(interval[0]) <= 0.0:
         raise ValidationError("xlogx needs a positive interval")
 
     def ev(t: float) -> float:
@@ -421,36 +430,20 @@ def _xlogx_spec(interval, order: int) -> FunctionSpec:
     def d1(t: float) -> float:
         return np.log(t) + 1.0
 
-    derivs: list[Evaluator] = [d1]
-    for k in range(2, order + 1):
-        # k-th derivative: (-1)^k (k-2)! t^(1-k)
-        coeff = (-1.0) ** k * math.factorial(k - 2)
-
-        def dk(t: float, _c=coeff, _p=1 - k) -> float:
-            return _c * t**_p
-
-        derivs.append(dk)
+    # orders >= 2 differentiate 1/t
+    derivs = [d1] + _power_terms(1.0, -1.0, order - 1)
     return FunctionSpec(name="xlogx", evaluator=ev, derivatives=tuple(derivs), interval=tuple(interval))
 
 
 def _neg_log_spec(interval, order: int) -> FunctionSpec:
-    lo, _ = float(interval[0]), float(interval[1])
-    if lo <= 0.0:
+    if float(interval[0]) <= 0.0:
         raise ValidationError("neg_log needs a positive interval")
 
     def ev(t: float) -> float:
         return -np.log(t)
 
-    derivs: list[Evaluator] = []
-    for k in range(1, order + 1):
-        # k-th derivative of -log(t): (-1)^k (k-1)! t^(-k)
-        coeff = (-1.0) ** k * math.factorial(k - 1)
-
-        def dk(t: float, _c=coeff, _p=-k) -> float:
-            return _c * t**_p
-
-        derivs.append(dk)
-    return FunctionSpec(name="neg_log", evaluator=ev, derivatives=tuple(derivs), interval=tuple(interval))
+    derivs = tuple(_power_terms(-1.0, -1.0, order))  # orders >= 1 differentiate -1/t
+    return FunctionSpec(name="neg_log", evaluator=ev, derivatives=derivs, interval=tuple(interval))
 
 
 def function_from_name(
@@ -468,14 +461,8 @@ def function_from_name(
     """
     key = name.strip().lower()
     if key == "square":
-        spec = _power_spec("square", 2.0, interval, order)
-        # literal (t-?) free form: keep t*t so the c=1 shift cancels bitwise
-        return FunctionSpec(
-            name="square",
-            evaluator=lambda t: t * t,
-            derivatives=spec.derivatives,
-            interval=spec.interval,
-        )
+        # keep t*t so the c=1 shift cancels bitwise
+        return replace(_power_spec("square", 2.0, interval, order), evaluator=lambda t: t * t)
     if key == "linear":
         return _power_spec("linear", 1.0, interval, order)
     if key == "exp":

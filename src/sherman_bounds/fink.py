@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -35,7 +35,6 @@ from scipy.integrate import quad
 
 from .convexity import (
     FunctionSpec,
-    is_n_convex,
     is_n_strongly_convex,
     shift_to_convex,
 )
@@ -435,14 +434,7 @@ class FinkReport:
     kernel_condition: str
 
     def to_dict(self) -> dict:
-        return {
-            "order": self.order,
-            "lhs": self.lhs,
-            "boundary_terms": self.boundary_terms,
-            "integral_term": self.integral_term,
-            "residual": self.residual,
-            "kernel_condition": self.kernel_condition,
-        }
+        return asdict(self)
 
 
 def sherman_difference_identity(
@@ -559,21 +551,19 @@ def higher_order_sherman_bound(
     n: int,
     c: float,
     *,
-    sample_count: int = 200,
-    seed: int = 0,
     unchecked_modulus: bool = False,
 ) -> HigherOrderBound:
     """Bound the Sherman difference through the order-n identity.
 
     The modulus claim (``f`` n-strongly convex with modulus ``c``; plain
-    n-convexity for ``c = 0``) is screened by sampled divided differences
-    unless ``unchecked_modulus`` is set.  The kernel weight of the pair
-    must be one-signed on the interval; dropping the integral of
-    ``g^(n) >= 0`` against it then leaves a valid inequality between the
-    shifted difference and its endpoint-derivative sum.  Nothing is
-    integrated: one Bernstein certificate of :func:`check_kernel_condition`
-    proves the sign, and the two sides come from the identity's endpoint
-    terms.
+    n-convexity for ``c = 0``) is screened by :func:`is_n_strongly_convex`
+    on its default sample unless ``unchecked_modulus`` is set.  The kernel
+    weight of the pair must be one-signed on the interval; dropping the
+    integral of ``g^(n) >= 0`` against it then leaves a valid inequality
+    between the shifted difference and its endpoint-derivative sum.
+    Nothing is integrated: one Bernstein certificate of
+    :func:`check_kernel_condition` proves the sign, and the two sides come
+    from the identity's endpoint terms.
 
     Raises:
         ValueError: unless ``c`` is finite and nonnegative.
@@ -592,10 +582,7 @@ def higher_order_sherman_bound(
             "no one-sided bound follows"
         )
     if not unchecked_modulus:
-        if c > 0:
-            verdict = is_n_strongly_convex(spec, n, c, sample_count, seed)
-        else:
-            verdict = is_n_convex(spec, n, sample_count, seed)
+        verdict = is_n_strongly_convex(spec, n, c)  # c = 0 screens plain n-convexity
         if not verdict.passed:
             raise ModulusNotCertified(
                 f"sampling refutes modulus {c} at order {n}: divided difference "

@@ -220,7 +220,7 @@ class TestConverse:
         x = WeightedVector(pts, a)
         upper = converse_sherman_strong(x, 1.0, EXP01, 0.5)
         reference = lah_ribaric_strong(x, EXP01, 0.5)
-        assert abs(upper - reference.rhs) <= 1e-12
+        assert upper == reference.rhs
 
     def test_mass_at_left_endpoint(self):
         x = WeightedVector([0.0, 0.0], [1.5, 0.5])
@@ -234,6 +234,14 @@ class TestConverse:
             plain = fsum_dot(x.weights, [math.exp(t) for t in x.points])
             upper = converse_sherman_strong(x, x.weight_sum, EXP01)
             assert plain <= upper + CHAIN_SLACK
+
+    @pytest.mark.parametrize("total", [math.nan, math.inf, -math.inf, -1.0])
+    def test_invalid_total_weight_rejected(self, total):
+        # nan and inf gave a NaN bound, and -1.0 a finite number
+        x = WeightedVector([0.25, 0.75], [0.5, 0.5])
+        for unchecked in (False, True):
+            with pytest.raises(ValueError, match="total weight"):
+                converse_sherman_strong(x, total, EXP01, 0.5, unchecked=unchecked)
 
 
 class TestFullChain:

@@ -272,6 +272,10 @@ class TestCatalog:
             spec = function_from_name(name, (0.5, 2.0))
             assert spec.max_order >= 6
             assert check_derivative_consistency(spec), name
+        # divergence generators share the catalog's power rule
+        for interval in ((0.1, 10.0), (0.5, 2.0)):
+            for kernel in catalog(interval):
+                assert check_derivative_consistency(kernel.generator), (kernel.name, interval)
 
     def test_consistency_check_catches_wrong_derivative(self):
         wrong = FunctionSpec("wrong", math.exp, (lambda t: 2.0 * math.exp(t),), (0.0, 1.0))

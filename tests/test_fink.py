@@ -622,6 +622,15 @@ class TestHigherOrderBound:
         bound = higher_order_sherman_bound(x, y, EXP01, 2, 2.0, unchecked_modulus=True)
         assert not bound.holds  # the claim really is false for this pair
 
+    def test_sampling_refutes_plain_convexity_at_zero_modulus(self):
+        # c = 0 screens plain n-convexity; log is concave
+        rng = np.random.default_rng(46)
+        x, y, _ = random_chain_instance(rng, (0.5, 2.0))
+        derivs = (lambda t: 1.0 / t, lambda t: -1.0 / (t * t))
+        concave = FunctionSpec("log", np.log, derivs, (0.5, 2.0))
+        with pytest.raises(ModulusNotCertified, match="refutes modulus 0.0 at order 2"):
+            higher_order_sherman_bound(x, y, concave, 2, 0.0)
+
     def test_bound_makes_no_quad_call_and_one_scan(self, monkeypatch):
         counts = {"quad": 0, "scan": 0}
         epsabs = []
