@@ -29,14 +29,14 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .convexity import (
+    MODULUS_SLACK,
     FunctionSpec,
     ModulusCertificate,
-    estimate_strong_modulus,
+    resolve_modulus,
 )
 from .errors import (
     DegenerateInterval,
     MajorizationNotVerified,
-    ModulusNotCertified,
     WeightsNotNormalized,
 )
 from .majorization import (
@@ -54,9 +54,6 @@ WEIGHT_SUM_TOL = 1e-12
 
 #: Interval width below this is treated as degenerate for endpoint bounds.
 MIN_INTERVAL_WIDTH = 1e-14
-
-#: An explicit modulus may exceed the certified one by at most this much.
-MODULUS_SLACK = 1e-12
 
 
 class JensenBound(NamedTuple):
@@ -119,59 +116,6 @@ class BoundChain:
         """Flat JSON-ready mapping of every field but ``verification``."""
         out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "verification"}
         return dict(out, warnings=list(self.warnings))
-
-
-def resolve_modulus(
-    spec: FunctionSpec,
-    c: Optional[float],
-    certificate: Optional[ModulusCertificate] = None,
-    *,
-    unchecked: bool = False,
-    order: int = 2,
-) -> tuple[float, Optional[ModulusCertificate]]:
-    """Resolve the modulus to use for a bound, certifying when needed.
-
-    ``c=None`` auto-certifies (or reuses the given certificate) and uses
-    the certified modulus.  An explicit ``c`` may sit anywhere at or
-    below the certified value (a smaller modulus only weakens the bound,
-    which stays valid); exceeding it raises unless ``unchecked`` is set,
-    in which case the caller vouches for ``c`` and no certificate is
-    consulted.
-
-    Returns:
-        ``(modulus, certificate)``; the certificate is None only on the
-        unchecked path when none was supplied.
-
-    Raises:
-        ModulusNotCertified: when certification fails or an explicit
-            modulus exceeds the certified one.
-        ValueError: on an explicit modulus that is negative, NaN or infinite.
-    """
-    if c is not None and not (math.isfinite(c) and c >= 0):
-        raise ValueError(f"modulus must be finite and nonnegative, got {c}")
-    if unchecked:
-        if c is None:
-            raise ValueError("unchecked modulus requires an explicit value")
-        return float(c), certificate
-    cert = certificate
-    if cert is None:
-        cert = estimate_strong_modulus(spec, order)
-    if cert.order != order:
-        raise ModulusNotCertified(
-            f"certificate order {cert.order} does not match required order {order}"
-        )
-    if cert.verdict != "certified":
-        raise ModulusNotCertified(
-            f"modulus certification for {spec.name} returned {cert.verdict!r} "
-            f"(grid minimum {cert.grid_min})"
-        )
-    if c is None:
-        return cert.modulus, cert
-    if c > cert.modulus + MODULUS_SLACK:
-        raise ModulusNotCertified(
-            f"requested modulus {c} exceeds certified {cert.modulus} for {spec.name}"
-        )
-    return float(c), cert
 
 
 def _check_normalized(weights: np.ndarray) -> None:

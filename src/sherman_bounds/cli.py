@@ -27,7 +27,7 @@ import logging
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Optional
 
 import numpy as np
@@ -90,7 +90,6 @@ class RunConfig:
     modulus: Optional[float] = None  # None selects auto-certification
     order: int = 2
     quad_tol: float = 1e-9
-    grid: int = DEFAULT_MODULUS_GRID
 
 
 def _format_float(x: float) -> str:
@@ -226,13 +225,8 @@ def _nonnegative_weights(arr: np.ndarray, label: str) -> np.ndarray:
 
 
 def _cert_dict(cert: ModulusCertificate) -> dict:
-    return {
-        "order": cert.order,
-        "modulus": cert.modulus,
-        "grid_size": cert.grid_size,
-        "verdict": cert.verdict,
-        "grid_min": cert.grid_min if math.isfinite(cert.grid_min) else None,
-    }
+    grid_min = cert.grid_min if math.isfinite(cert.grid_min) else None
+    return dict(asdict(cert), grid_min=grid_min)
 
 
 def _verification_dict(result: VerificationResult) -> dict:
@@ -272,7 +266,7 @@ def _run_chain(config: RunConfig):
         generated = True
     interval = _hull_interval(config, np.concatenate([x, y]))
     spec = function_from_name(_require_kernel(config), interval)
-    certificate = estimate_strong_modulus(spec, 2, config.grid)
+    certificate = estimate_strong_modulus(spec, 2)
     logger.info("chain: modulus certificate %s", certificate)
     xv = WeightedVector(x, a, interval)
     yv = WeightedVector(y, b, interval)
@@ -307,9 +301,7 @@ def _run_divergence(config: RunConfig):
         lo = float(pair.ratios.min())
         hi = float(pair.ratios.max())
         interval = (max(lo - 1e-9, 0.5 * lo), hi + 1e-9)
-    kernel = get_kernel(
-        _require_kernel(config), interval, alpha=config.alpha, grid_size=config.grid
-    )
+    kernel = get_kernel(_require_kernel(config), interval, alpha=config.alpha)
     logger.info("divergence: kernel %s on %s", kernel.name, kernel.interval)
     if "R" in data:
         matrix = StochasticMatrix(_numeric_matrix(data["R"], "R"), "column")
@@ -386,7 +378,7 @@ def _config_echo(config: RunConfig) -> dict:
         "modulus": "auto" if config.modulus is None else config.modulus,
         "order": config.order,
         "quad_tol": config.quad_tol,
-        "grid": config.grid,
+        "grid": DEFAULT_MODULUS_GRID,
         "chain_slack": CHAIN_SLACK,
         "majorize_tol": MAJORIZE_TOL,
         "residual_budget_factor": RESIDUAL_BUDGET_FACTOR,
@@ -457,14 +449,28 @@ def _order_argument(text: str) -> int:
     return value
 
 
-def _grid_argument(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"grid must be an integer, got {text!r}")
-    if value < 2:
-        raise argparse.ArgumentTypeError(f"grid must be >= 2, got {text!r}")
-    return value
+#: Options besides ``--input`` and ``--output``; absent, they keep the RunConfig default.
+_OPTIONS = {
+    "--kernel": dict(help="function or divergence kernel name"),
+    "--alpha": dict(type=float, help="Renyi exponent (> 1)"),
+    "--interval": dict(type=_interval_argument, metavar="A,B",
+                       help="working interval; defaults to the data hull"),
+    "--modulus": dict(type=_modulus_argument, metavar="AUTO|C",
+                      help="strong-convexity modulus; 'auto' (default) certifies from a grid"),
+    "--order": dict(type=_order_argument, help="identity order n"),
+    "--quad-tol": dict(type=_positive_float, help="absolute quadrature budget"),
+}
+
+#: Each subcommand with its summary and the options its handler reads.
+_SUBCOMMANDS = [
+    ("chain", "evaluate the two-sided inequality chain on a weighted instance",
+     ("--kernel", "--interval", "--modulus")),
+    ("divergence", "certified sandwich around a Csiszar f-divergence",
+     ("--kernel", "--alpha", "--interval", "--modulus")),
+    ("majorize", "check majorization and build a doubly stochastic witness", ()),
+    ("verify-identity", "decompose a difference by the order-n identity",
+     ("--kernel", "--interval", "--order", "--quad-tol")),
+]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -473,32 +479,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="Certified inequality chains, identity checks, and divergence bounds.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, summary in [
-        ("chain", "evaluate the two-sided inequality chain on a weighted instance"),
-        ("divergence", "certified sandwich around a Csiszar f-divergence"),
-        ("majorize", "check majorization and build a doubly stochastic witness"),
-        ("verify-identity", "decompose a difference by the order-n identity"),
-    ]:
-        cmd = sub.add_parser(name, help=summary)
-        cmd.add_argument("--input", required=True, help="input JSON (or CSV for divergence)")
-        cmd.add_argument("--output", default=None, help="write the report here instead of stdout")
-        cmd.add_argument("--kernel", default=None, help="function or divergence kernel name")
-        cmd.add_argument("--alpha", type=float, default=None, help="Renyi exponent (> 1)")
-        cmd.add_argument(
-            "--interval", type=_interval_argument, default=None, metavar="A,B",
-            help="working interval; defaults to the data hull",
-        )
-        cmd.add_argument(
-            "--modulus", type=_modulus_argument, default=None, metavar="AUTO|C",
-            help="strong-convexity modulus; 'auto' (default) certifies from a grid",
-        )
-        cmd.add_argument("--order", type=_order_argument, default=2, help="identity order n")
-        cmd.add_argument(
-            "--quad-tol", type=_positive_float, default=1e-9, dest="quad_tol",
-            help="absolute quadrature budget",
-        )
-        cmd.add_argument("--grid", type=_grid_argument, default=DEFAULT_MODULUS_GRID,
-                         help="certification grid size")
+    for name, summary, options in _SUBCOMMANDS:
+        cmd = sub.add_parser(name, help=summary, argument_default=argparse.SUPPRESS)
+        cmd.add_argument("--input", required=True, dest="input_path", metavar="PATH",
+                         help="input JSON (or CSV for divergence)")
+        cmd.add_argument("--output", dest="output_path", metavar="PATH",
+                         help="write the report here instead of stdout")
+        for option in options:
+            cmd.add_argument(option, **_OPTIONS[option])
     return parser
 
 
@@ -521,19 +509,7 @@ def _write_report(path: Optional[str], text: str) -> None:
 
 def main(argv: Optional[list[str]] = None) -> int:
     _configure_logging()
-    args = build_parser().parse_args(argv)
-    config = RunConfig(
-        command=args.command,
-        input_path=args.input,
-        output_path=args.output,
-        kernel=args.kernel,
-        alpha=args.alpha,
-        interval=args.interval,
-        modulus=args.modulus,
-        order=args.order,
-        quad_tol=args.quad_tol,
-        grid=args.grid,
-    )
+    config = RunConfig(**vars(build_parser().parse_args(argv)))
     try:
         report, code = run(config)
     except (ParseError, ValidationError) as exc:

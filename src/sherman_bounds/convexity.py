@@ -8,8 +8,9 @@ defined on.  On top of that this module provides
   copies resolves to ``f^(j)(z)/j!``),
 * grid certification of the strong-convexity modulus of order ``n``
   (the largest ``c`` with ``f^(n) >= c * n!`` on the interval, i.e. the
-  largest ``c`` such that ``f(t) - c*t^n`` stays n-convex),
-* one-sided sampling checks of n-convexity via random divided
+  largest ``c`` such that ``f(t) - c*t^n`` stays n-convex), from which
+  :func:`resolve_modulus` decides the modulus of every bound,
+* refutation-only sampling checks of n-convexity via random divided
   differences, and
 * the shift ``f -> f - c*t^n`` that turns an n-strongly convex function
   into a plain n-convex one.
@@ -30,6 +31,7 @@ from .errors import (
     DegenerateInterval,
     EmptyPoints,
     MissingDerivative,
+    ModulusNotCertified,
     PointOutOfInterval,
     ValidationError,
 )
@@ -39,8 +41,11 @@ Evaluator = Callable[[float], float]
 #: Divided differences this close to zero (or to the modulus) count as ties.
 DIVIDED_DIFFERENCE_TOL = 1e-10
 
-#: Default number of grid nodes for modulus certification.
+#: Number of grid nodes of every modulus certificate.
 DEFAULT_MODULUS_GRID = 10001
+
+#: An explicit modulus may exceed the certified one by at most this much.
+MODULUS_SLACK = 1e-12
 
 #: Default number of random node tuples drawn by the sampling checks.
 DEFAULT_SAMPLE_COUNT = 200
@@ -130,14 +135,22 @@ class FunctionSpec:
         is outside.  The message names the first offending point.
         """
         lo, hi = self.interval
-        slack = 1e-12 * max(1.0, abs(lo), abs(hi))
-        pts = np.asarray(points, dtype=float).ravel()
-        outside = ~((lo - slack <= pts) & (pts <= hi + slack))
-        if outside.any():
-            t = pts[np.argmax(outside)]
+        t = _first_outside(points, lo, hi)
+        if t is not None:
             raise PointOutOfInterval(
                 f"point {t!r} outside interval [{lo}, {hi}] of {self.name}"
             )
+
+
+def _first_outside(points, lo: float, hi: float):
+    """First point outside ``[lo, hi]`` widened by ``1e-12 * max(1, |lo|, |hi|)``, else None.
+
+    The slack absorbs representation rounding; NaN counts as outside.
+    """
+    slack = 1e-12 * max(1.0, abs(lo), abs(hi))
+    pts = np.asarray(points, dtype=float).ravel()
+    inside = (lo - slack <= pts) & (pts <= hi + slack)
+    return None if inside.all() else pts[np.argmin(inside)]
 
 
 def divided_difference(points, spec: FunctionSpec) -> float:
@@ -208,31 +221,78 @@ class ModulusCertificate:
     grid_min: float
 
 
-def estimate_strong_modulus(
-    spec: FunctionSpec, n: int, grid_size: int = DEFAULT_MODULUS_GRID
-) -> ModulusCertificate:
+def estimate_strong_modulus(spec: FunctionSpec, n: int) -> ModulusCertificate:
     """Certify a modulus of n-strong convexity from an endpoint-inclusive grid.
 
-    The returned modulus is ``max(0, min f^(n)(t)/n!)`` over ``grid_size``
-    evenly spaced nodes.  For functions whose n-th derivative is monotone
-    or has interior minima resolved by the grid this equals the exact
-    modulus up to grid resolution; it is a certificate in the sense that
-    the sampled divided-difference checks accept any ``c`` at or below it.
+    The returned modulus is ``max(0, min f^(n)(t)/n!)`` over
+    :data:`DEFAULT_MODULUS_GRID` evenly spaced nodes.  For functions whose
+    n-th derivative is monotone or has interior minima resolved by the
+    grid this equals the exact modulus up to grid resolution.
 
     Raises:
         MissingDerivative: if ``spec`` lacks the n-th derivative.
-        ValueError: on ``n < 1`` or ``grid_size < 2``.
+        ValueError: on ``n < 1``.
     """
     if n < 1:
         raise ValueError(f"order must be >= 1, got {n}")
-    if grid_size < 2:
-        raise ValueError(f"grid_size must be >= 2, got {grid_size}")
-    vals = spec.evaluate(np.linspace(spec.alpha, spec.beta, grid_size), n) / math.factorial(n)
+    grid = np.linspace(spec.alpha, spec.beta, DEFAULT_MODULUS_GRID)
+    vals = spec.evaluate(grid, n) / math.factorial(n)
     if not np.all(np.isfinite(vals)):
-        return ModulusCertificate(n, 0.0, grid_size, "indeterminate", float("nan"))
+        return ModulusCertificate(n, 0.0, grid.size, "indeterminate", float("nan"))
     gmin = float(vals.min())
     verdict = "certified" if gmin >= 0.0 else "failed"
-    return ModulusCertificate(n, max(0.0, gmin), grid_size, verdict, gmin)
+    return ModulusCertificate(n, max(0.0, gmin), grid.size, verdict, gmin)
+
+
+def resolve_modulus(
+    spec: FunctionSpec,
+    c: Optional[float],
+    certificate: Optional[ModulusCertificate] = None,
+    *,
+    unchecked: bool = False,
+    order: int = 2,
+) -> tuple[float, Optional[ModulusCertificate]]:
+    """Resolve the modulus of order ``order`` a bound uses, certifying when needed.
+
+    ``c=None`` auto-certifies (or reuses the given certificate) and uses
+    the certified modulus.  An explicit ``c`` may sit anywhere at or
+    below the certified value (a smaller modulus only weakens the bound,
+    which stays valid); exceeding it raises unless ``unchecked`` is set,
+    in which case the caller vouches for ``c`` and no certificate is
+    consulted.
+
+    Returns:
+        ``(modulus, certificate)``; the certificate is None only on the
+        unchecked path when none was supplied.
+
+    Raises:
+        ModulusNotCertified: when certification fails or an explicit
+            modulus exceeds the certified one.
+        ValueError: on an explicit modulus that is negative, NaN or infinite.
+    """
+    if c is not None and not (math.isfinite(c) and c >= 0):
+        raise ValueError(f"modulus must be finite and nonnegative, got {c}")
+    if unchecked:
+        if c is None:
+            raise ValueError("unchecked modulus requires an explicit value")
+        return float(c), certificate
+    cert = certificate or estimate_strong_modulus(spec, order)
+    if cert.order != order:
+        raise ModulusNotCertified(
+            f"certificate order {cert.order} does not match required order {order}"
+        )
+    if cert.verdict != "certified":
+        raise ModulusNotCertified(
+            f"modulus certification for {spec.name} returned {cert.verdict!r} "
+            f"(grid minimum {cert.grid_min})"
+        )
+    if c is None:
+        return cert.modulus, cert
+    if c > cert.modulus + MODULUS_SLACK:
+        raise ModulusNotCertified(
+            f"requested modulus {c} exceeds certified {cert.modulus} for {spec.name}"
+        )
+    return float(c), cert
 
 
 @dataclass(frozen=True, slots=True)
@@ -257,9 +317,35 @@ class SampleVerdict:
     threshold: float
 
 
-def _sampled_verdict(
-    spec: FunctionSpec, n: int, c: float, sample_count: int, seed: int
+def is_n_convex(
+    spec: FunctionSpec,
+    n: int,
+    sample_count: int = DEFAULT_SAMPLE_COUNT,
+    seed: int = 0,
 ) -> SampleVerdict:
+    """Sample random node tuples and test ``[z_0..z_n; f] >= -1e-10``.
+
+    Nodes are drawn one per stratum of the interval, so tuples stay well
+    separated and rounding in the divided-difference table cannot fake a
+    violation for a genuinely n-convex function.
+    """
+    return is_n_strongly_convex(spec, n, 0.0, sample_count, seed)
+
+
+def is_n_strongly_convex(
+    spec: FunctionSpec,
+    n: int,
+    c: float,
+    sample_count: int = DEFAULT_SAMPLE_COUNT,
+    seed: int = 0,
+) -> SampleVerdict:
+    """Sample random node tuples and test ``[z_0..z_n; f] >= c - 1e-10``.
+
+    Refutation only: a pass proves nothing, as the strata keep the nodes
+    away from the interval ends.  Bounds decide ``c`` with :func:`resolve_modulus`.
+    """
+    if c < 0:
+        raise ValueError(f"modulus must be nonnegative, got {c}")
     if n < 1:
         raise ValueError(f"order must be >= 1, got {n}")
     if sample_count < 1:
@@ -287,34 +373,6 @@ def _sampled_verdict(
         samples=sample_count,
         threshold=threshold,
     )
-
-
-def is_n_convex(
-    spec: FunctionSpec,
-    n: int,
-    sample_count: int = DEFAULT_SAMPLE_COUNT,
-    seed: int = 0,
-) -> SampleVerdict:
-    """Sample random node tuples and test ``[z_0..z_n; f] >= -1e-10``.
-
-    Nodes are drawn one per stratum of the interval, so tuples stay well
-    separated and rounding in the divided-difference table cannot fake a
-    violation for a genuinely n-convex function.
-    """
-    return _sampled_verdict(spec, n, 0.0, sample_count, seed)
-
-
-def is_n_strongly_convex(
-    spec: FunctionSpec,
-    n: int,
-    c: float,
-    sample_count: int = DEFAULT_SAMPLE_COUNT,
-    seed: int = 0,
-) -> SampleVerdict:
-    """Sample random node tuples and test ``[z_0..z_n; f] >= c - 1e-10``."""
-    if c < 0:
-        raise ValueError(f"modulus must be nonnegative, got {c}")
-    return _sampled_verdict(spec, n, c, sample_count, seed)
 
 
 def shift_to_convex(spec: FunctionSpec, n: int, c: float) -> FunctionSpec:

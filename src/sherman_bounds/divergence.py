@@ -37,9 +37,10 @@ from .bounds import BoundChain, _chain_links
 from .convexity import (
     FunctionSpec,
     ModulusCertificate,
+    _first_outside,
     _power_terms,
-    estimate_strong_modulus,
     function_from_name,
+    resolve_modulus,
 )
 from .errors import (
     DimensionMismatch,
@@ -201,18 +202,18 @@ def get_kernel(
     interval: Optional[tuple[float, float]] = None,
     *,
     alpha: Optional[float] = None,
-    grid_size: int = 10001,
 ) -> DivergenceKernel:
     """Build a catalog kernel by name on a ratio interval.
 
     Known names: ``kl``, ``hellinger``, ``variational``, ``harmonic``,
     ``bhattacharya``, ``triangular``, ``chi_square``, and ``renyi``
-    (``alpha > 1`` via the keyword or a ``renyi:a`` suffix).  Strongly
-    convex kernels get an order-2 modulus certificate on construction.
+    (``alpha > 1`` via the keyword or a ``renyi:a`` suffix, or both if
+    equal).  Strongly convex kernels get the order-2 modulus certificate
+    of :func:`.convexity.resolve_modulus` on construction.
 
     Raises:
-        ValidationError: on an unknown name, a nonpositive interval, or
-            a Renyi exponent not above one.
+        ValidationError: on an unknown name, a nonpositive interval, a
+            Renyi exponent not above one, or an ``alpha`` it would ignore.
         ModulusNotCertified: if grid certification unexpectedly fails.
     """
     key = name.strip().lower().replace("-", "_")
@@ -226,9 +227,12 @@ def get_kernel(
     if key.startswith("renyi"):
         if ":" in key:
             try:
-                alpha = float(key.split(":", 1)[1])
+                suffix = float(key.split(":", 1)[1])
             except ValueError as exc:
                 raise ValidationError(f"bad exponent in kernel name {name!r}") from exc
+            if alpha is not None and alpha != suffix:
+                raise ValidationError(f"alpha={alpha} differs from the exponent of {name!r}")
+            alpha = suffix
         if alpha is None:
             raise ValidationError("renyi kernel needs an exponent alpha > 1")
         if not alpha > 1.0:
@@ -236,16 +240,14 @@ def get_kernel(
         key = f"renyi:{alpha:g}"
         spec = replace(function_from_name(f"pow:{alpha}", interval), name=key)
         convexity_class = _STRONGLY_CONVEX
+    elif alpha is not None:
+        raise ValidationError(f"alpha applies to the renyi kernel only, not {name!r}")
     else:
         spec, convexity_class = _build_generator(key, interval)
 
     certificate = None
     if convexity_class == _STRONGLY_CONVEX:
-        certificate = estimate_strong_modulus(spec, 2, grid_size)
-        if certificate.verdict != "certified":
-            raise ModulusNotCertified(
-                f"kernel {key}: certification returned {certificate.verdict!r}"
-            )
+        _, certificate = resolve_modulus(spec, None)
     normalized = bool(abs(spec.evaluator(1.0)) <= NORMALIZED_TOL)
     return DivergenceKernel(
         name=key,
@@ -256,9 +258,7 @@ def get_kernel(
     )
 
 
-def catalog(
-    interval: Optional[tuple[float, float]] = None, *, grid_size: int = 10001
-) -> list[DivergenceKernel]:
+def catalog(interval: Optional[tuple[float, float]] = None) -> list[DivergenceKernel]:
     """All catalog kernels on one ratio interval (Renyi with alpha = 2)."""
     names = [
         "kl",
@@ -270,13 +270,12 @@ def catalog(
         "chi_square",
         "renyi:2",
     ]
-    return [get_kernel(name, interval, grid_size=grid_size) for name in names]
+    return [get_kernel(name, interval) for name in names]
 
 
 def _require_ratios_inside(values: np.ndarray, kernel: DivergenceKernel) -> None:
     lo, hi = kernel.generator.interval
-    slack = 1e-12 * max(1.0, abs(lo), abs(hi))
-    if np.any(values < lo - slack) or np.any(values > hi + slack):
+    if _first_outside(values, lo, hi) is not None:
         raise RatioOutOfDomain(
             f"ratios span [{values.min()}, {values.max()}], outside the "
             f"{kernel.name} interval [{lo}, {hi}]"

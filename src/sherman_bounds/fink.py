@@ -35,13 +35,13 @@ from scipy.integrate import quad
 
 from .convexity import (
     FunctionSpec,
-    is_n_strongly_convex,
+    _first_outside,
+    resolve_modulus,
     shift_to_convex,
 )
 from .errors import (
     KernelConditionIndefinite,
     MajorizationNotVerified,
-    ModulusNotCertified,
     OutOfInterval,
     PointOutOfInterval,
     QuadratureFailure,
@@ -82,11 +82,9 @@ def fink_kernel(t: float, x: float, alpha: float, beta: float) -> float:
     Raises:
         OutOfInterval: if ``t`` or ``x`` leaves ``[alpha, beta]``.
     """
-    slack = 1e-12 * max(1.0, abs(alpha), abs(beta))
-    if not (alpha - slack <= t <= beta + slack):
-        raise OutOfInterval(f"t={t} outside [{alpha}, {beta}]")
-    if not (alpha - slack <= x <= beta + slack):
-        raise OutOfInterval(f"x={x} outside [{alpha}, {beta}]")
+    for label, value in (("t", t), ("x", x)):
+        if _first_outside(value, alpha, beta) is not None:
+            raise OutOfInterval(f"{label}={value} outside [{alpha}, {beta}]")
     return t - alpha if t <= x else t - beta
 
 
@@ -379,8 +377,7 @@ def check_kernel_condition(
         lo, hi = (first, last) if interval is None else map(float, interval)
         if interval is not None and not lo < hi:
             raise ValueError(f"interval must have lo < hi, got {interval}")
-        slack = 1e-12 * max(1.0, abs(lo), abs(hi))
-        if first < lo - slack or last > hi + slack:
+        if _first_outside([first, last], lo, hi) is not None:
             raise PointOutOfInterval(f"data points span [{first}, {last}], outside [{lo}, {hi}]")
         weight = _KernelWeight(x, y, n, lo, hi)
     suffix, prefix = weight.pieces
@@ -556,19 +553,19 @@ def higher_order_sherman_bound(
     """Bound the Sherman difference through the order-n identity.
 
     The modulus claim (``f`` n-strongly convex with modulus ``c``; plain
-    n-convexity for ``c = 0``) is screened by :func:`is_n_strongly_convex`
-    on its default sample unless ``unchecked_modulus`` is set.  The kernel
-    weight of the pair must be one-signed on the interval; dropping the
-    integral of ``g^(n) >= 0`` against it then leaves a valid inequality
-    between the shifted difference and its endpoint-derivative sum.
-    Nothing is integrated: one Bernstein certificate of
-    :func:`check_kernel_condition` proves the sign, and the two sides come
-    from the identity's endpoint terms.
+    n-convexity for ``c = 0``) is checked against the order-n grid
+    certificate, as in the order-2 chain, unless ``unchecked_modulus`` is
+    set.  The kernel weight of the pair must be one-signed on the
+    interval; dropping the integral of ``g^(n) >= 0`` against it then
+    leaves a valid inequality between the shifted difference and its
+    endpoint-derivative sum.  Nothing is integrated: one Bernstein
+    certificate of :func:`check_kernel_condition` proves the sign, and the
+    two sides come from the identity's endpoint terms.
 
     Raises:
         ValueError: unless ``c`` is finite and nonnegative.
         KernelConditionIndefinite: if the certificate cannot prove one sign.
-        ModulusNotCertified: if sampling refutes the modulus claim.
+        ModulusNotCertified: per :func:`.convexity.resolve_modulus`.
         MajorizationNotVerified: if either moment condition of
             :func:`sherman_difference_identity` fails.
         MissingDerivative: if derivatives up to order ``n`` are missing.
@@ -581,13 +578,7 @@ def higher_order_sherman_bound(
             f"kernel weight spans [{condition.min_value}, {condition.max_value}]; "
             "no one-sided bound follows"
         )
-    if not unchecked_modulus:
-        verdict = is_n_strongly_convex(spec, n, c)  # c = 0 screens plain n-convexity
-        if not verdict.passed:
-            raise ModulusNotCertified(
-                f"sampling refutes modulus {c} at order {n}: divided difference "
-                f"{verdict.worst_value} at nodes {verdict.witness}"
-            )
+    resolve_modulus(spec, c, unchecked=unchecked_modulus, order=n)
     lhs, boundary = _difference_terms(x, y, shift_to_convex(spec, n, c), n)
     if condition.classification == "nonnegative":
         holds = lhs >= boundary - BOUND_SLACK

@@ -17,6 +17,7 @@ from typing import Optional
 
 import numpy as np
 
+from .convexity import _first_outside
 from .errors import (
     DimensionMismatch,
     LengthMismatch,
@@ -73,8 +74,9 @@ class WeightedVector:
             raise ValidationError("weights must be nonnegative")
         if self.interval is not None:
             lo, hi = float(self.interval[0]), float(self.interval[1])
-            slack = 1e-12 * max(1.0, abs(lo), abs(hi))
-            if np.any(pts < lo - slack) or np.any(pts > hi + slack):
+            if not lo <= hi:
+                raise ValidationError(f"interval must satisfy lo <= hi, got {self.interval}")
+            if _first_outside(pts, lo, hi) is not None:
                 raise PointOutOfInterval(
                     f"points leave interval [{lo}, {hi}]: "
                     f"range [{pts.min()}, {pts.max()}]"

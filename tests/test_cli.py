@@ -251,6 +251,14 @@ class TestDivergenceCommand:
         assert code == 0
         assert report["result"]["kernel"] == "renyi:2"
 
+    def test_alpha_for_another_kernel_exits_two(self, tmp_path, capsys):
+        path = write_json(tmp_path / "r.json", {"p": [0.5, 0.5], "q": [0.4, 0.6]})
+        code, report = run_cli(
+            capsys, "divergence", "--input", path, "--kernel", "kl", "--alpha", "2"
+        )
+        assert code == 2
+        assert report["error_type"] == "ValidationError"
+
     def test_csv_parse_errors(self, tmp_path, capsys):
         three = tmp_path / "three.csv"
         three.write_text("0.5,0.2,0.1\n")
@@ -377,9 +385,13 @@ class TestErrorExits:
             ["chain", "--input", path, "--interval", "1"],
             ["chain", "--input", path, "--interval", "2,1"],
             ["chain", "--input", path, "--modulus", "-0.5"],
-            ["chain", "--input", path, "--order", "0"],
-            ["chain", "--input", path, "--quad-tol", "0"],
-            ["chain", "--input", path, "--grid", "1"],
+            ["verify-identity", "--input", path, "--order", "0"],
+            ["verify-identity", "--input", path, "--quad-tol", "0"],
+            ["chain", "--input", path, "--grid", "1"],  # the flag is gone
+            # flags a subcommand would ignore are not registered on it
+            ["chain", "--input", path, "--order", "3"],
+            ["majorize", "--input", path, "--kernel", "exp"],
+            ["verify-identity", "--input", path, "--modulus", "0.3"],
             ["unknown-command"],
         ):
             with pytest.raises(SystemExit) as excinfo:

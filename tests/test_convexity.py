@@ -174,8 +174,6 @@ class TestModulusCertification:
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
             estimate_strong_modulus(SQUARE01, 0)
-        with pytest.raises(ValueError):
-            estimate_strong_modulus(SQUARE01, 2, grid_size=1)
 
 
 class TestSampledConvexity:

@@ -147,6 +147,13 @@ class TestCatalog:
         with pytest.raises(ValidationError):
             get_kernel("kl", (2.0, 1.0))
 
+    def test_alpha_it_would_ignore_is_rejected(self):
+        assert get_kernel("renyi:2", alpha=2.0).name == "renyi:2"
+        with pytest.raises(ValidationError, match="renyi kernel only"):
+            get_kernel("kl", alpha=3.0)
+        with pytest.raises(ValidationError, match="differs from the exponent"):
+            get_kernel("renyi:2", alpha=3.0)
+
 
 class TestCsiszarDivergence:
     def test_matches_closed_forms(self):

@@ -28,6 +28,7 @@ from sherman_bounds import (
     sherman_difference_identity,
     sherman_strong,
 )
+import sherman_bounds
 from sherman_bounds import fink
 from helpers import fsum_dot, gauss_legendre, random_chain_instance
 
@@ -613,26 +614,53 @@ class TestHigherOrderBound:
         with pytest.raises(KernelConditionIndefinite):
             higher_order_sherman_bound(x, y, EXP01, 3, 0.0)
 
-    def test_sampling_refutes_inflated_modulus(self):
-        # exp on [0, 1] has second divided differences below e/2 < 2
+    def test_certificate_refuses_inflated_modulus(self):
+        # exp on [0, 1] has the certified order-2 modulus 1/2 < 2
         rng = np.random.default_rng(46)
         x, y, _ = random_chain_instance(rng, (0.0, 1.0))
-        with pytest.raises(ModulusNotCertified):
+        with pytest.raises(ModulusNotCertified, match="modulus 2.0 exceeds certified 0.5"):
             higher_order_sherman_bound(x, y, EXP01, 2, 2.0)
         bound = higher_order_sherman_bound(x, y, EXP01, 2, 2.0, unchecked_modulus=True)
         assert not bound.holds  # the claim really is false for this pair
 
-    def test_sampling_refutes_plain_convexity_at_zero_modulus(self):
-        # c = 0 screens plain n-convexity; log is concave
+    def test_certificate_refuses_plain_convexity_at_zero_modulus(self):
+        # c = 0 claims plain n-convexity; log is concave
         rng = np.random.default_rng(46)
         x, y, _ = random_chain_instance(rng, (0.5, 2.0))
         derivs = (lambda t: 1.0 / t, lambda t: -1.0 / (t * t))
         concave = FunctionSpec("log", np.log, derivs, (0.5, 2.0))
-        with pytest.raises(ModulusNotCertified, match="refutes modulus 0.0 at order 2"):
+        with pytest.raises(ModulusNotCertified, match="certification for log returned 'failed'"):
             higher_order_sherman_bound(x, y, concave, 2, 0.0)
 
+    def test_certificate_refuses_moduli_the_interior_sample_missed(self):
+        # the true moduli of exp on [0, 1] sit at t = 0: e^0/2! and e^0/4!;
+        # interior node tuples see divided differences up to about 0.75 at n=2
+        rng = np.random.default_rng(55)
+        x, y, _ = random_chain_instance(rng, (0.0, 1.0))
+        for n, c in ((2, 0.6), (4, 1.03 / 24.0)):
+            with pytest.raises(ModulusNotCertified, match="exceeds certified"):
+                higher_order_sherman_bound(x, y, EXP01, n, c)
+
+    def test_accepts_exactly_the_moduli_the_chain_accepts(self):
+        rng = np.random.default_rng(56)
+        x, y, witness = random_chain_instance(rng, (0.0, 1.0))
+        moduli = np.concatenate([np.linspace(0.0, 0.75, 61), 0.5 + np.array([5e-13, 2e-12])])
+        for c in moduli.tolist():
+            verdicts = []
+            for bound in (
+                lambda: sherman_strong(x, y, EXP01, c, matrix=witness),
+                lambda: higher_order_sherman_bound(x, y, EXP01, 2, c),
+            ):
+                try:
+                    bound()
+                    verdicts.append(True)
+                except ModulusNotCertified:
+                    verdicts.append(False)
+            assert verdicts[0] == verdicts[1], c
+            assert verdicts[0] == (c <= 0.5 + 1e-12), c
+
     def test_bound_makes_no_quad_call_and_one_scan(self, monkeypatch):
-        counts = {"quad": 0, "scan": 0}
+        counts = {"quad": 0, "scan": 0, "sampled": 0}
         epsabs = []
         real_quad, real_scan = fink.quad, fink.check_kernel_condition
 
@@ -645,20 +673,35 @@ class TestHigherOrderBound:
             counts["scan"] += 1
             return real_scan(*args, **kwargs)
 
+        def counting_sampled(real):
+            def wrapper(*args, **kwargs):
+                counts["sampled"] += 1
+                return real(*args, **kwargs)
+
+            return wrapper
+
         monkeypatch.setattr(fink, "quad", counting_quad)
         monkeypatch.setattr(fink, "check_kernel_condition", counting_scan)
+        # every package module that holds a sampling check, wherever it came from
+        modules = (sherman_bounds.convexity, sherman_bounds.bounds, sherman_bounds.divergence, fink)
+        for module in modules:
+            for name in ("is_n_convex", "is_n_strongly_convex"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counting_sampled(getattr(module, name)))
         rng = np.random.default_rng(49)
         x, y, _ = random_chain_instance(rng, (0.0, 1.0))
         for n, c in ((2, 0.5), (4, 1.0 / 24.0)):
-            counts.update(quad=0, scan=0)
+            counts.update(quad=0, scan=0, sampled=0)
             assert higher_order_sherman_bound(x, y, EXP01, n, c).holds
-            assert counts == {"quad": 0, "scan": 1}
+            assert counts == {"quad": 0, "scan": 1, "sampled": 0}
         # the wrappers are live: the identity hands quad the pieces that the
         # first Gauss-Kronrod step rejects, here where f'' has a sqrt corner
         counts.update(quad=0, scan=0)
         report = sherman_difference_identity(x, y, ROOT01, 2)
         pieces = np.unique(np.concatenate([[0.0, 1.0], x.points, y.points])).size - 1
         assert 0 < counts["quad"] < pieces and counts["scan"] == 1
+        assert sherman_bounds.convexity.is_n_strongly_convex(EXP01, 2, 0.4).passed
+        assert counts["sampled"] == 1
         assert epsabs == [QuadratureConfig().abs_tol / pieces] * counts["quad"]
         assert abs(report.residual) <= 1e-9
 

@@ -41,6 +41,12 @@ class TestWeightedVector:
         with pytest.raises(PointOutOfInterval):
             WeightedVector([5.0], [1.0], (0.0, 1.0))
 
+    @pytest.mark.parametrize("interval", [(float("nan"), 1.0), (0.0, float("nan")), (1.0, 0.0)])
+    def test_rejects_nan_or_inverted_interval(self, interval):
+        # every comparison with NaN is False, so no point can be found outside it
+        with pytest.raises(ValidationError, match="lo <= hi"):
+            WeightedVector([0.5], [1.0], interval)
+
 
 class TestStochasticMatrix:
     def test_kinds(self):
