@@ -23,7 +23,7 @@ its own centred spread ``S_a (x - xbar)^2``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -96,8 +96,9 @@ class BoundChain:
         fuchs_case: True when both sides have equally many points and all
             weights share one value (the classical equal-weight setting).
         warnings: Human-readable notes (degenerate weights and similar).
-        verification: The witness check of :func:`full_chain`, or the
-            factored one of an aggregated divergence; not reported.
+        verification: The witness check of :func:`full_chain`; None for
+            an aggregated divergence, whose witness holds by construction.
+            Not reported.
     """
 
     lhs: float
@@ -336,18 +337,18 @@ def full_chain(
     spec.require_inside(x.points)
     spec.require_inside(y.points)
     result = verify_weighted_majorization(x, y, matrix, tol)
-    return _chain_links(
-        x, y, result, spec, c, certificate=certificate, unchecked_modulus=unchecked_modulus
-    )
+    _require_passed(result)
+    modulus, _ = resolve_modulus(spec, c, certificate, unchecked=unchecked_modulus)
+    chain = _chain_links(x, y, spec, modulus)
+    weights = np.concatenate([x.weights, y.weights])
+    fuchs = x.size == y.size and float(np.ptp(weights)) <= 1e-12 * max(1.0, float(weights.max()))
+    return replace(chain, fuchs_case=fuchs, verification=result)
 
 
 def _chain_links(
-    x: WeightedVector, y: WeightedVector, result: VerificationResult, spec: FunctionSpec,
-    c: Optional[float], *, certificate: Optional[ModulusCertificate], unchecked_modulus: bool,
+    x: WeightedVector, y: WeightedVector, spec: FunctionSpec, modulus: float
 ) -> BoundChain:
-    """The links of :func:`full_chain` for points inside the interval, given its witness check."""
-    _require_passed(result)
-    modulus, _ = resolve_modulus(spec, c, certificate, unchecked=unchecked_modulus)
+    """The links of :func:`full_chain` for a majorized pair inside the interval."""
     total = y.weight_sum
     warnings = ("all weights are zero; every sum in the chain is vacuous",) if total <= 0.0 else ()
     # The converse link first: a degenerate interval fails before f is evaluated.
@@ -359,8 +360,6 @@ def _chain_links(
         and strong <= plain + CHAIN_SLACK
         and plain <= converse + CHAIN_SLACK
     )
-    weights = np.concatenate([x.weights, y.weights])
-    fuchs = x.size == y.size and float(np.ptp(weights)) <= 1e-12 * max(1.0, float(weights.max()))
     return BoundChain(
         lhs=lhs,
         strong_bound=strong,
@@ -370,7 +369,5 @@ def _chain_links(
         correction_converse=correction_converse,
         modulus=modulus,
         chain_holds=chain_holds,
-        fuchs_case=fuchs,
         warnings=warnings,
-        verification=result,
     )

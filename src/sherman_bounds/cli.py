@@ -154,12 +154,19 @@ def _load_json(path: str) -> Any:
         raise ParseError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
 
 
+def _require_numbers(items: list, label: str) -> None:
+    for item in items:
+        if isinstance(item, bool) or not isinstance(item, (int, float)):
+            raise ParseError(f"{label} must contain numbers only, got {item!r}")
+        # False for NaN, the infinities and integers beyond the float range
+        if not abs(item) <= sys.float_info.max:
+            raise ValidationError(f"{label} must contain finite numbers only, got {item!r}")
+
+
 def _numeric_vector(data: Any, label: str) -> np.ndarray:
     if not isinstance(data, list) or not data:
         raise ParseError(f"{label} must be a nonempty array of numbers")
-    for item in data:
-        if isinstance(item, bool) or not isinstance(item, (int, float)):
-            raise ParseError(f"{label} must contain numbers only, got {item!r}")
+    _require_numbers(data, label)
     return np.asarray(data, dtype=float)
 
 
@@ -174,9 +181,7 @@ def _numeric_matrix(data: Any, label: str) -> np.ndarray:
             width = len(row)
         elif len(row) != width:
             raise ParseError(f"{label} rows have inconsistent lengths")
-        for item in row:
-            if isinstance(item, bool) or not isinstance(item, (int, float)):
-                raise ParseError(f"{label} must contain numbers only, got {item!r}")
+        _require_numbers(row, label)
     return np.asarray(data, dtype=float)
 
 
@@ -292,9 +297,7 @@ def _run_divergence(config: RunConfig):
     else:
         data = _load_json(config.input_path)
     _require_keys(data, ["p", "q"], "divergence")
-    pair = DistributionPair(
-        _numeric_vector(list(data["p"]), "p"), _numeric_vector(list(data["q"]), "q")
-    )
+    pair = DistributionPair(_numeric_vector(data["p"], "p"), _numeric_vector(data["q"], "q"))
     if config.interval is not None:
         interval = config.interval
     else:
@@ -452,7 +455,7 @@ def _order_argument(text: str) -> int:
 #: Options besides ``--input`` and ``--output``; absent, they keep the RunConfig default.
 _OPTIONS = {
     "--kernel": dict(help="function or divergence kernel name"),
-    "--alpha": dict(type=float, help="Renyi exponent (> 1)"),
+    "--alpha": dict(type=_positive_float, help="Renyi exponent (> 1)"),
     "--interval": dict(type=_interval_argument, metavar="A,B",
                        help="working interval; defaults to the data hull"),
     "--modulus": dict(type=_modulus_argument, metavar="AUTO|C",
@@ -512,13 +515,14 @@ def main(argv: Optional[list[str]] = None) -> int:
     config = RunConfig(**vars(build_parser().parse_args(argv)))
     try:
         report, code = run(config)
+        text = canonical_json(report)  # a non-finite value raises ValidationError
     except (ParseError, ValidationError) as exc:
         return _emit_failure(config, exc, EXIT_PARSE)
     except QuadratureFailure as exc:
         return _emit_failure(config, exc, EXIT_QUADRATURE)
     except DomainError as exc:
         return _emit_failure(config, exc, EXIT_DOMAIN)
-    _write_report(config.output_path, canonical_json(report))
+    _write_report(config.output_path, text)
     return code
 
 

@@ -8,10 +8,9 @@ certified modulus.  For strictly positive ``p, q`` the divergence is
 Aggregating the pair through a column-stochastic matrix ``R`` (rows of
 ``R`` merge probability mass) produces a weighted-majorized instance:
 with ``b_i = <p, R_i>``, ``y_i = <q, R_i> / b_i``, ``a = p`` and
-``A_ij = p_j R_ij / b_i`` the chain of bounds applies.  The witness is
-checked in factored form, never built: ``a = bA`` reads
-``p_j = p_j S_i R_ij`` and ``y = Ax`` reads ``y_i = (R(p x))_i / b_i``.
-The chain yields
+``A_ij = p_j R_ij / b_i`` the chain of bounds applies.  The witness
+holds by construction (Csiszar 1967), so it is neither built nor
+re-checked.  The chain yields
 
 * ``lower_ck``: the aggregated divergence (total-mass chord point),
 * ``lower_strong``: ``lower_ck`` plus the quadratic ratio-spread term,
@@ -33,7 +32,7 @@ from typing import Optional
 
 import numpy as np
 
-from .bounds import BoundChain, _chain_links
+from .bounds import _chain_links
 from .convexity import (
     FunctionSpec,
     ModulusCertificate,
@@ -50,7 +49,7 @@ from .errors import (
     ValidationError,
     ZeroAggregateWeight,
 )
-from .majorization import StochasticMatrix, VerificationResult, WeightedVector
+from .majorization import StochasticMatrix, WeightedVector
 
 #: Default ratio interval for catalog kernels.
 DEFAULT_KERNEL_INTERVAL = (0.1, 10.0)
@@ -364,7 +363,84 @@ class DivergenceSandwich:
         }
 
 
-def _sandwich_from_chain(kernel: DivergenceKernel, chain: BoundChain) -> DivergenceSandwich:
+def aggregated_divergence_bounds(
+    pair: DistributionPair,
+    matrix: StochasticMatrix,
+    kernel: DivergenceKernel,
+    c: Optional[float] = None,
+) -> DivergenceSandwich:
+    """Two-sided bounds comparing a divergence with its aggregation.
+
+    Each row ``R_i`` of the column-stochastic ``matrix`` merges mass into
+    ``b_i = <p, R_i>`` and aggregated ratio ``y_i = <q, R_i> / b_i``; the
+    chain then runs on the weighted-majorized instance with witness
+    ``A_ij = p_j R_ij / b_i``, which holds by construction and is neither
+    built nor re-checked.  ``lower_ck`` is the aggregated divergence
+    ``S_i b_i f(y_i)``.
+
+    Args:
+        pair: Strictly positive vectors with ratios inside the kernel's
+            interval.
+        matrix: Column-stochastic aggregation matrix with ``pair.size``
+            columns (doubly stochastic qualifies).
+        kernel: A strongly convex kernel.
+        c: Optional explicit modulus at or below the certified one; None
+            uses the certificate.
+
+    Raises:
+        ModulusNotCertified: for kernels without strong convexity, or an
+            explicit modulus above the certified one.
+        ZeroAggregateWeight: if a row of ``matrix`` carries no mass.
+        RatioOutOfDomain: if a ratio leaves the generator's interval.
+        DimensionMismatch: if the matrix width differs from the pair.
+    """
+    return _aggregated_sandwich(pair, matrix.entries, matrix.kind, kernel, c)
+
+
+def divergence_bounds(
+    pair: DistributionPair,
+    kernel: DivergenceKernel,
+    c: Optional[float] = None,
+) -> DivergenceSandwich:
+    """Two-sided bounds on ``D_f(q, p)`` from total mass alone.
+
+    This is the single-row aggregation: ``lower_ck`` becomes the
+    classical total-mass bound ``S_j p_j * f(S q / S p)``.  See
+    :func:`aggregated_divergence_bounds` for arguments and errors.
+    """
+    return _aggregated_sandwich(pair, np.ones((1, pair.size)), "column", kernel, c)
+
+
+def _aggregated_sandwich(
+    pair: DistributionPair, entries: np.ndarray, kind: str,
+    kernel: DivergenceKernel, c: Optional[float],
+) -> DivergenceSandwich:
+    """The body of :func:`aggregated_divergence_bounds` for validated ``entries``."""
+    if kernel.convexity_class != _STRONGLY_CONVEX:
+        raise ModulusNotCertified(
+            f"kernel {kernel.name} is {kernel.convexity_class}; "
+            "two-sided bounds need a certified strong-convexity modulus"
+        )
+    if kind == "row":
+        raise ValidationError("aggregation needs a column-stochastic matrix")
+    cols = entries.shape[1]
+    if cols != pair.size:
+        raise DimensionMismatch(
+            f"aggregation matrix has {cols} columns for {pair.size} outcomes"
+        )
+    weights = entries @ pair.p
+    if np.any(weights <= 0.0):
+        raise ZeroAggregateWeight("an aggregation row carries zero probability mass")
+    aggregated_ratios = (entries @ pair.q) / weights
+    _require_ratios_inside(pair.ratios, kernel)
+    _require_ratios_inside(aggregated_ratios, kernel)
+    # A = pR/b needs no check: R >= 0 and b = Rp > 0 make it nonnegative and
+    # row-stochastic, (bA)_j = p_j S_i R_ij is a to R's validated column sums,
+    # and (Ax)_i = S_j (p_j R_ij / b_i)(q_j / p_j) = (Rq)_i / b_i = y_i exactly.
+    x = WeightedVector(pair.ratios, pair.p)
+    y = WeightedVector(aggregated_ratios, weights)
+    modulus, _ = resolve_modulus(kernel.generator, c, kernel.modulus_certificate)
+    chain = _chain_links(x, y, kernel.generator, modulus)
     return DivergenceSandwich(
         kernel_name=kernel.name,
         lower_ck=chain.lhs,
@@ -375,96 +451,3 @@ def _sandwich_from_chain(kernel: DivergenceKernel, chain: BoundChain) -> Diverge
         holds=chain.chain_holds,
         warnings=chain.warnings,
     )
-
-
-def aggregated_divergence_bounds(
-    pair: DistributionPair,
-    matrix: StochasticMatrix,
-    kernel: DivergenceKernel,
-    c: Optional[float] = None,
-    *,
-    tol: float = 1e-9,
-) -> DivergenceSandwich:
-    """Two-sided bounds comparing a divergence with its aggregation.
-
-    Each row ``R_i`` of the column-stochastic ``matrix`` merges mass into
-    ``b_i = <p, R_i>`` and aggregated ratio ``y_i = <q, R_i> / b_i``; the
-    chain then runs on the weighted-majorized instance with witness
-    ``A_ij = p_j R_ij / b_i``.  That witness is checked from its factors
-    without being built: the chain's ``verification`` holds
-    ``max_j |p_j - p_j S_i R_ij|`` (``a = bA``) and
-    ``max_i |y_i - (R(p x))_i / b_i|`` (``y = Ax``), both compared with
-    ``tol``.  ``lower_ck`` is the aggregated divergence ``S_i b_i f(y_i)``.
-
-    Args:
-        pair: Strictly positive vectors with ratios inside the kernel's
-            interval.
-        matrix: Column-stochastic aggregation matrix with ``pair.size``
-            columns (doubly stochastic qualifies).
-        kernel: A strongly convex kernel.
-        c: Optional explicit modulus at or below the certified one; None
-            uses the certificate.
-        tol: Witness verification tolerance.
-
-    Raises:
-        ModulusNotCertified: for kernels without strong convexity, or an
-            explicit modulus above the certified one.
-        ZeroAggregateWeight: if a row of ``matrix`` carries no mass.
-        RatioOutOfDomain: if a ratio leaves the generator's interval.
-        DimensionMismatch: if the matrix width differs from the pair.
-        MajorizationNotVerified: if a residual of the witness check
-            exceeds ``tol``.
-    """
-    if kernel.convexity_class != _STRONGLY_CONVEX:
-        raise ModulusNotCertified(
-            f"kernel {kernel.name} is {kernel.convexity_class}; "
-            "two-sided bounds need a certified strong-convexity modulus"
-        )
-    if matrix.kind == "row":
-        raise ValidationError("aggregation needs a column-stochastic matrix")
-    rows, cols = matrix.shape
-    if cols != pair.size:
-        raise DimensionMismatch(
-            f"aggregation matrix has {cols} columns for {pair.size} outcomes"
-        )
-    weights = matrix.entries @ pair.p
-    if np.any(weights <= 0.0):
-        raise ZeroAggregateWeight("an aggregation row carries zero probability mass")
-    aggregated_ratios = (matrix.entries @ pair.q) / weights
-    _require_ratios_inside(pair.ratios, kernel)
-    _require_ratios_inside(aggregated_ratios, kernel)
-
-    # A = pR/b is nonnegative and row-stochastic by construction: R >= 0 was
-    # validated and b = Rp > 0 was checked, so only a = bA and y = Ax remain.
-    weight_residual = float(np.abs(pair.p - pair.p * matrix.entries.sum(axis=0)).max())
-    point_residual = float(
-        np.abs(aggregated_ratios - (matrix.entries @ (pair.p * pair.ratios)) / weights).max()
-    )
-    result = VerificationResult(
-        weight_residual <= tol and point_residual <= tol, weight_residual, point_residual, tol
-    )
-    interval = kernel.generator.interval
-    x = WeightedVector(pair.ratios, pair.p, interval)
-    y = WeightedVector(aggregated_ratios, weights, interval)
-    chain = _chain_links(
-        x, y, result, kernel.generator, c,
-        certificate=kernel.modulus_certificate, unchecked_modulus=False,
-    )
-    return _sandwich_from_chain(kernel, chain)
-
-
-def divergence_bounds(
-    pair: DistributionPair,
-    kernel: DivergenceKernel,
-    c: Optional[float] = None,
-    *,
-    tol: float = 1e-9,
-) -> DivergenceSandwich:
-    """Two-sided bounds on ``D_f(q, p)`` from total mass alone.
-
-    This is the single-row aggregation: ``lower_ck`` becomes the
-    classical total-mass bound ``S_j p_j * f(S q / S p)``.  See
-    :func:`aggregated_divergence_bounds` for arguments and errors.
-    """
-    ones = StochasticMatrix(np.ones((1, pair.size)), "column")
-    return aggregated_divergence_bounds(pair, ones, kernel, c, tol=tol)

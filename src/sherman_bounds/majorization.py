@@ -180,7 +180,7 @@ def majorizes(x, y, tol: float = DEFAULT_TOL, *, with_matrix: bool = False) -> M
 
     Raises:
         LengthMismatch: if the vectors differ in length.
-        ValidationError: if either vector has a NaN or infinite entry.
+        ValidationError: if a vector has a NaN or infinite entry or its sum overflows.
     """
     xa = np.asarray(x, dtype=float)
     ya = np.asarray(y, dtype=float)
@@ -190,8 +190,12 @@ def majorizes(x, y, tol: float = DEFAULT_TOL, *, with_matrix: bool = False) -> M
         )
     if not (np.isfinite(xa).all() and np.isfinite(ya).all()):
         raise ValidationError("majorization needs finite vectors")
-    cx = np.cumsum(np.sort(xa)[::-1])
-    cy = np.cumsum(np.sort(ya)[::-1])
+    with np.errstate(over="ignore"):
+        cx = np.cumsum(np.sort(xa)[::-1])
+        cy = np.cumsum(np.sort(ya)[::-1])
+    # an overflowed cumsum ends non-finite, and inf - inf is NaN, which no `> tol` catches
+    if not (math.isfinite(cx[-1]) and math.isfinite(cy[-1])):
+        raise ValidationError("majorization partial sums overflow the float range")
     violated = np.flatnonzero(cy[:-1] > cx[:-1] + tol)
     if violated.size:
         return MajorizationCert("fails", int(violated[0]) + 1, None)

@@ -379,6 +379,56 @@ class TestErrorExits:
         assert code == 3
         assert report["error_type"] == "ModulusNotCertified"
 
+    @pytest.mark.parametrize("p", [5, None])
+    def test_divergence_vector_that_is_not_an_array(self, tmp_path, capsys, p):
+        path = write_json(tmp_path / "d.json", {"p": p, "q": [0.5, 0.5]})
+        code, report = run_cli(capsys, "divergence", "--input", path, "--kernel", "kl")
+        assert code == 2 and report["error_type"] == "ParseError"
+
+    @pytest.mark.parametrize("command,data,kernel", [
+        ("chain", {"x": [1e300, -1e300], "b": [1.0], "A": [[0.5, 0.5]]}, "square"),
+        ("divergence", {"p": [1e-300, 1.0], "q": [1.0, 1e-300]}, "kl"),
+    ])
+    def test_overflowing_report_value_exits_two(self, tmp_path, capsys, command, data, kernel):
+        path = write_json(tmp_path / "in.json", data)
+        with pytest.warns(RuntimeWarning, match="overflow"):  # S_a x^2 overflows to inf
+            code, report = run_cli(capsys, command, "--input", path, "--kernel", kernel)
+        assert code == 2 and report["error_type"] == "ValidationError"
+        assert "non-finite value" in report["error"]
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("interval", [[], ["--interval=-1,1"]])
+    def test_non_finite_literal_exits_two(self, tmp_path, capsys, literal, interval):
+        chain = tmp_path / "c.json"
+        chain.write_text(f'{{"x": [{literal}, 0.4, 0.9], "b": [0.7, 1.3], '
+                         '"A": [[0.6, 0.3, 0.1], [0.2, 0.3, 0.5]]}')
+        identity = tmp_path / "v.json"
+        identity.write_text(f'{{"x": [0.0, 1.0], "a": [0.5, 0.5], "y": [{literal}], "b": [1.0]}}')
+        for command, path in (("chain", chain), ("verify-identity", identity)):
+            code, report = run_cli(
+                capsys, command, "--input", str(path), "--kernel", "exp", *interval
+            )
+            assert code == 2 and report["error_type"] == "ValidationError"
+            assert "finite numbers only" in report["error"]
+
+    def test_integer_beyond_float_range_exits_two(self, tmp_path, capsys):
+        path = write_json(tmp_path / "c.json", dict(CHAIN_INPUT, x=[10**400, 0.4, 0.9]))
+        code, report = run_cli(capsys, "chain", "--input", path, "--kernel", "exp")
+        assert code == 2 and report["error_type"] == "ValidationError"
+
+    def test_overflowing_majorize_sums_exit_two(self, tmp_path, capsys):
+        path = write_json(tmp_path / "m.json", {"x": [1.7e308] * 2, "y": [1.7e308, 1.6e308]})
+        code, report = run_cli(capsys, "majorize", "--input", path)
+        assert code == 2 and report["error_type"] == "ValidationError"
+        assert "overflow" in report["error"]
+
+    @pytest.mark.parametrize("alpha", ["nan", "inf", "-2"])
+    def test_alpha_must_be_finite_and_positive(self, tmp_path, alpha):
+        argv = ["divergence", "--input", str(tmp_path / "d.json"), "--kernel", "renyi"]
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, "--alpha", alpha])
+        assert excinfo.value.code == 2
+
     def test_argparse_rejections(self, tmp_path):
         path = str(tmp_path / "c.json")
         for argv in (

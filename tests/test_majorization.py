@@ -136,6 +136,15 @@ class TestMajorizes:
             with pytest.raises(ValidationError, match="finite"):
                 majorizes(pair["x"], pair["y"], with_matrix=True)
 
+    @pytest.mark.parametrize("build", [majorizes, construct_doubly_stochastic])
+    def test_rejects_overflowing_sums(self, build):
+        # Both totals overflow to inf, and inf - inf is NaN, which once passed
+        # the total check: the pair was called "holds" though its totals differ by 1e307.
+        with pytest.raises(ValidationError, match="overflow"):
+            build([1.7e308] * 2, [1.7e308, 1.6e308])
+        with pytest.raises(ValidationError, match="overflow"):
+            build([1.0, 1.0], [1.7e308, 1.7e308])
+
     @staticmethod
     def loop_witness_k(x, y, tol):
         """The prefix scan as a loop: first violated prefix, m on a total mismatch."""
