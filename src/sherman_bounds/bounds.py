@@ -15,15 +15,18 @@ classical majorization and endpoint bounds; a larger certified ``c``
 tightens both ends.  Each link has one evaluator, shared by
 ``sherman_strong``, ``converse_sherman_strong`` and the ``full_chain``
 driver, which verifies the witness, resolves the modulus and reports
-every link.  Of the one-row special cases, the endpoint chord bound is
-the converse at total weight one; the mean-versus-average bound keeps
-its own centred spread ``S_a (x - xbar)^2``.
+every link.  The links read each side's weighted sums from one lazy
+helper, which a divergence pair keeps per generator, and reject a sum
+that overflowed.  Of the one-row special cases, the endpoint chord
+bound is the converse at total weight one; the mean-versus-average
+bound keeps its own centred spread ``S_a (x - xbar)^2``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
+from functools import cached_property
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -37,6 +40,7 @@ from .convexity import (
 from .errors import (
     DegenerateInterval,
     MajorizationNotVerified,
+    ValidationError,
     WeightsNotNormalized,
 )
 from .majorization import (
@@ -142,26 +146,54 @@ def _endpoint_width(spec: FunctionSpec) -> float:
     return width
 
 
-def _sherman_link(
-    x: WeightedVector, y: WeightedVector, spec: FunctionSpec, modulus: float
-) -> tuple[float, float, float]:
-    """``(S_b f(y), S_a f(x), c * (S_a x^2 - S_b y^2))``: the strong Sherman link."""
-    lhs = float(y.weights @ spec.evaluate(y.points))
-    plain = float(x.weights @ spec.evaluate(x.points))
-    delta = float(x.weights @ (x.points * x.points)) - float(y.weights @ (y.points * y.points))
-    return lhs, plain, modulus * delta
+class _SideSums:
+    """The weighted sums of one side ``(x, a)`` of the chain, each computed on first use.
+
+    ``f`` is ``S_a f(x)``, ``linear`` is ``S_a x``, ``square`` is
+    ``S_a x^2`` and ``spread`` is ``S_a (beta - x)(x - alpha)``.  A sum
+    that overflows is ``inf`` or NaN, without a warning; the links reject it.
+    """
+
+    def __init__(self, points: np.ndarray, weights: np.ndarray, spec: FunctionSpec) -> None:
+        self.points, self.weights, self.spec = points, weights, spec
+
+    def _sum(self, term) -> float:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return float(self.weights @ term(self.points))
+
+    f = cached_property(lambda self: self._sum(self.spec.evaluate))
+    linear = cached_property(lambda self: self._sum(lambda x: x))
+    square = cached_property(lambda self: self._sum(lambda x: x * x))
+    spread = cached_property(
+        lambda self: self._sum(lambda x: (self.spec.beta - x) * (x - self.spec.alpha))
+    )
 
 
-def _converse_link(
-    x: WeightedVector, total: float, spec: FunctionSpec, modulus: float
-) -> tuple[float, float]:
+def _finite(*values: float) -> tuple[float, ...]:
+    """``values``, unless a sum behind one of them overflowed."""
+    for value in values:
+        if not math.isfinite(value):
+            raise ValidationError(
+                f"non-finite value {value} in a chain link: a sum overflows the float range"
+            )
+    return values
+
+
+def _sherman_link(x: _SideSums, y: _SideSums, modulus: float) -> tuple[float, ...]:
+    """``(S_b f(y), strong bound, S_a f(x), c * (S_a x^2 - S_b y^2))``: the strong Sherman link."""
+    correction = modulus * (x.square - y.square)
+    return _finite(y.f, x.f - correction, x.f, correction)
+
+
+def _converse_link(x: _SideSums, total: float, modulus: float) -> tuple[float, ...]:
     """``(endpoint bound, c * S_a (beta - x)(x - alpha))`` at total weight ``total``."""
+    spec = x.spec
     width = _endpoint_width(spec)
     al, be = spec.interval
-    sax = float(x.weights @ x.points)
-    correction = modulus * float(x.weights @ ((be - x.points) * (x.points - al)))
-    numerator = (total * be - sax) * spec.evaluator(al) + (sax - total * al) * spec.evaluator(be)
-    return float(numerator / width - correction), correction
+    correction = modulus * x.spread
+    f_al, f_be = float(spec.evaluator(al)), float(spec.evaluator(be))
+    numerator = (total * be - x.linear) * f_al + (x.linear - total * al) * f_be
+    return _finite(numerator / width - correction, correction)
 
 
 def jensen_strong(
@@ -220,7 +252,7 @@ def lah_ribaric_strong(
     """
     _check_normalized(x.weights)
     rhs = converse_sherman_strong(x, 1.0, spec, c, certificate=certificate, unchecked=unchecked)
-    return LahRibaricBound(lhs=float(x.weights @ spec.evaluate(x.points)), rhs=rhs)
+    return LahRibaricBound(lhs=_SideSums(x.points, x.weights, spec).f, rhs=rhs)
 
 
 def converse_sherman_strong(
@@ -247,7 +279,7 @@ def converse_sherman_strong(
         raise ValueError(f"total weight must be finite and nonnegative, got {total_weight}")
     spec.require_inside(x.points)
     modulus, _ = resolve_modulus(spec, c, certificate, unchecked=unchecked)
-    return _converse_link(x, total_weight, spec, modulus)[0]
+    return _converse_link(_SideSums(x.points, x.weights, spec), total_weight, modulus)[0]
 
 
 class ShermanBound(NamedTuple):
@@ -292,10 +324,12 @@ def sherman_strong(
             "pass a stochastic witness matrix or set assume_majorized=True"
         )
     modulus, _ = resolve_modulus(spec, c, certificate, unchecked=unchecked_modulus)
-    lhs, plain, correction = _sherman_link(x, y, spec, modulus)
+    lhs, strong, plain, correction = _sherman_link(
+        _SideSums(x.points, x.weights, spec), _SideSums(y.points, y.weights, spec), modulus
+    )
     return ShermanBound(
         lhs=lhs,
-        strong_bound=plain - correction,
+        strong_bound=strong,
         plain_bound=plain,
         correction_quadratic=correction,
         modulus=modulus,
@@ -339,22 +373,25 @@ def full_chain(
     result = verify_weighted_majorization(x, y, matrix, tol)
     _require_passed(result)
     modulus, _ = resolve_modulus(spec, c, certificate, unchecked=unchecked_modulus)
-    chain = _chain_links(x, y, spec, modulus)
+    chain = _chain_links(
+        _SideSums(x.points, x.weights, spec), _SideSums(y.points, y.weights, spec), modulus
+    )
     weights = np.concatenate([x.weights, y.weights])
     fuchs = x.size == y.size and float(np.ptp(weights)) <= 1e-12 * max(1.0, float(weights.max()))
     return replace(chain, fuchs_case=fuchs, verification=result)
 
 
-def _chain_links(
-    x: WeightedVector, y: WeightedVector, spec: FunctionSpec, modulus: float
-) -> BoundChain:
-    """The links of :func:`full_chain` for a majorized pair inside the interval."""
-    total = y.weight_sum
+def _chain_links(x: _SideSums, y: _SideSums, modulus: float) -> BoundChain:
+    """The links of :func:`full_chain` for a majorized pair inside the interval.
+
+    Raises:
+        ValidationError: if a link is not finite because a sum overflows.
+    """
+    total = math.fsum(y.weights)
     warnings = ("all weights are zero; every sum in the chain is vacuous",) if total <= 0.0 else ()
     # The converse link first: a degenerate interval fails before f is evaluated.
-    converse, correction_converse = _converse_link(x, total, spec, modulus)
-    lhs, plain, correction_quadratic = _sherman_link(x, y, spec, modulus)
-    strong = plain - correction_quadratic
+    converse, correction_converse = _converse_link(x, total, modulus)
+    lhs, strong, plain, correction_quadratic = _sherman_link(x, y, modulus)
     chain_holds = (
         lhs <= strong + CHAIN_SLACK
         and strong <= plain + CHAIN_SLACK

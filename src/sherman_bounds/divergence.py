@@ -32,7 +32,7 @@ from typing import Optional
 
 import numpy as np
 
-from .bounds import _chain_links
+from .bounds import _chain_links, _finite, _SideSums
 from .convexity import (
     FunctionSpec,
     ModulusCertificate,
@@ -49,7 +49,7 @@ from .errors import (
     ValidationError,
     ZeroAggregateWeight,
 )
-from .majorization import StochasticMatrix, WeightedVector
+from .majorization import StochasticMatrix
 
 #: Default ratio interval for catalog kernels.
 DEFAULT_KERNEL_INTERVAL = (0.1, 10.0)
@@ -103,11 +103,19 @@ class DistributionPair:
     derived, not passed.  They need not be normalized; operations that
     require probability vectors check that themselves.  Equality and
     hashing go by identity.
+
+    Every divergence quantity of the pair under one generator reads the
+    same majorant side, ratios ``q / p`` with weights ``p``.  The pair
+    memoizes that side per generator spec (the same kernel on another
+    interval gets its own entry): the ratio check on first use, then each
+    sum when a caller first needs it.  No entry can go stale, because the
+    pair, its read-only arrays and the spec are all frozen.
     """
 
     p: np.ndarray
     q: np.ndarray
     ratios: np.ndarray = field(init=False)
+    _sums: dict[FunctionSpec, _SideSums] = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self) -> None:
         # Copies, so freezing them leaves the caller's arrays writable.
@@ -117,9 +125,10 @@ class DistributionPair:
             raise ValidationError(
                 f"p and q must be equal-length nonempty vectors, got shapes {p.shape}, {q.shape}"
             )
-        if not (np.all(np.isfinite(p)) and np.all(np.isfinite(q))):
+        ends = (p.min(), p.max(), q.min(), q.max())  # NaN propagates into both
+        if not all(math.isfinite(end) for end in ends):
             raise ValidationError("p and q must be finite")
-        if np.any(p <= 0.0) or np.any(q <= 0.0):
+        if min(ends) <= 0.0:
             raise ValidationError("p and q must be strictly positive")
         ratios = q / p
         for arr in (p, q, ratios):
@@ -131,6 +140,22 @@ class DistributionPair:
     @property
     def size(self) -> int:
         return int(self.p.size)
+
+    def __getstate__(self) -> dict:
+        # The memo keys are specs, whose callables need not pickle.
+        return {**vars(self), "_sums": {}}
+
+    def _majorant_sums(self, kernel: DivergenceKernel) -> _SideSums:
+        """The memo entry of the kernel's generator; a failed ratio check stores nothing.
+
+        Raises:
+            RatioOutOfDomain: if a ratio leaves the generator's interval.
+        """
+        sums = self._sums.get(kernel.generator)
+        if sums is None:
+            _require_ratios_inside(self.ratios, kernel)
+            sums = self._sums[kernel.generator] = _SideSums(self.ratios, self.p, kernel.generator)
+        return sums
 
 
 def _build_generator(key: str, interval: tuple[float, float], order: int = 6):
@@ -286,9 +311,9 @@ def csiszar_divergence(pair: DistributionPair, kernel: DivergenceKernel) -> floa
 
     Raises:
         RatioOutOfDomain: if a ratio leaves the generator's interval.
+        ValidationError: if the sum overflows the float range.
     """
-    _require_ratios_inside(pair.ratios, kernel)
-    return float(pair.p @ kernel.generator.evaluate(pair.ratios))
+    return _finite(pair._majorant_sums(kernel).f)[0]
 
 
 def _require_probability(values, label: str) -> np.ndarray:
@@ -432,15 +457,14 @@ def _aggregated_sandwich(
     if np.any(weights <= 0.0):
         raise ZeroAggregateWeight("an aggregation row carries zero probability mass")
     aggregated_ratios = (entries @ pair.q) / weights
-    _require_ratios_inside(pair.ratios, kernel)
+    x = pair._majorant_sums(kernel)
     _require_ratios_inside(aggregated_ratios, kernel)
     # A = pR/b needs no check: R >= 0 and b = Rp > 0 make it nonnegative and
     # row-stochastic, (bA)_j = p_j S_i R_ij is a to R's validated column sums,
     # and (Ax)_i = S_j (p_j R_ij / b_i)(q_j / p_j) = (Rq)_i / b_i = y_i exactly.
-    x = WeightedVector(pair.ratios, pair.p)
-    y = WeightedVector(aggregated_ratios, weights)
+    y = _SideSums(aggregated_ratios, weights, kernel.generator)
     modulus, _ = resolve_modulus(kernel.generator, c, kernel.modulus_certificate)
-    chain = _chain_links(x, y, kernel.generator, modulus)
+    chain = _chain_links(x, y, modulus)
     return DivergenceSandwich(
         kernel_name=kernel.name,
         lower_ck=chain.lhs,

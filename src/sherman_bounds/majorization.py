@@ -35,6 +35,9 @@ MATRIX_SUM_TOL = 1e-12
 #: Entries in [-1e-14, 0) are clamped to zero; anything lower is rejected.
 ENTRY_CLAMP_TOL = 1e-14
 
+#: A stochastic matrix is validated in blocks of about this many bytes.
+_BLOCK_BYTES = 1 << 20
+
 
 def _as_vector(values, label: str) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
@@ -106,6 +109,12 @@ class StochasticMatrix:
     anything more negative is rejected.  The relevant sums must equal
     one within ``1e-12``.  Equality and hashing go by identity.
 
+    Validation reads the input once, copying it in blocks of about 1 MB
+    (column blocks for a ``"column"`` matrix of at most 128 rows or one
+    column, row blocks otherwise) and taking each block's minimum and sums
+    while it is in cache.  The sums add in the order of numpy's
+    whole-matrix ``entries.sum(axis)``, so they equal it.
+
     Attributes:
         entries: The matrix, stored read-only.
         kind: ``"row"``, ``"column"``, or ``"doubly"``.
@@ -120,23 +129,46 @@ class StochasticMatrix:
         arr = np.asarray(self.entries, dtype=float)
         if arr.ndim != 2 or arr.size == 0:
             raise ValidationError(f"matrix must be two-dimensional and nonempty, got shape {arr.shape}")
-        low = arr.min()
+        rows, cols = arr.shape
+        out = np.empty((rows, cols))
+        # Column blocks only while they span >= 1024 columns, as narrower
+        # strided blocks run slower in numpy's loops than the passes they
+        # save, or for one column, which numpy sums pairwise, not row by row.
+        by_column = self.kind == "column" and (cols == 1 or 1024 * 8 * rows <= _BLOCK_BYTES)
+        step = max(1, _BLOCK_BYTES // (8 * (rows if by_column else cols)))
+        lows, row_sums, col_sums = [], [], []
+        for start in range(0, cols if by_column else rows, step):
+            index = np.s_[:, start:start + step] if by_column else np.s_[start:start + step]
+            block = out[index]
+            block[...] = arr[index]
+            lows.append(block.min())
+            if lows[-1] < 0.0:  # -0.0 is not below zero and is kept
+                block[block < 0.0] = 0.0
+            if by_column:
+                col_sums.append(block.sum(axis=0))
+                continue
+            if self.kind != "column":
+                row_sums.append(block.sum(axis=1))
+            if self.kind != "row":
+                # Axis-0 sums add row after row; stacking the running sums on
+                # top of the next row block keeps that order across blocks.
+                stacked = np.vstack(col_sums + [block]) if col_sums else block
+                col_sums = [stacked.sum(axis=0)]
+        low = np.min(lows)  # NaN anywhere propagates, as in one min over all entries
         if low < -ENTRY_CLAMP_TOL:
             raise ValidationError(f"matrix entry {low} below clamping tolerance -{ENTRY_CLAMP_TOL}")
-        # One new array either way; -0.0 is not below zero and is kept.
-        arr = np.where(arr < 0.0, 0.0, arr) if low < 0.0 else arr.copy()
-        for axis, label in ((1, "row"), (0, "column")):
+        for label, parts in (("row", row_sums), ("column", col_sums)):
             if self.kind not in (label, "doubly"):
                 continue
-            dev = float(np.abs(arr.sum(axis=axis) - 1.0).max())
+            dev = float(np.abs(np.concatenate(parts) - 1.0).max())
             # A NaN or infinite entry makes its sum, and so dev, non-finite;
             # NaN would pass the comparison below.
             if not math.isfinite(dev):
                 raise ValidationError("matrix entries must be finite")
             if dev > MATRIX_SUM_TOL:
                 raise ValidationError(f"{label} sums deviate from 1 by {dev} > {MATRIX_SUM_TOL}")
-        arr.setflags(write=False)
-        object.__setattr__(self, "entries", arr)
+        out.setflags(write=False)
+        object.__setattr__(self, "entries", out)
 
     @property
     def shape(self) -> tuple[int, int]:

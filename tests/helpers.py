@@ -86,3 +86,33 @@ def random_probability(rng: np.random.Generator, size: int) -> np.ndarray:
     """Strictly positive probability vector, bounded away from zero."""
     raw = rng.uniform(0.05, 1.0, size)
     return raw / raw.sum()
+
+
+def three_pass_stochastic(entries, kind: str) -> np.ndarray:
+    """Oracle for ``StochasticMatrix``: its validation as three whole-matrix passes.
+
+    The minimum, the (clamping) copy and the sums each read the whole
+    matrix.  Returns the validated entries or raises the same
+    ``ValidationError`` as the class.
+    """
+    from sherman_bounds import ValidationError
+    from sherman_bounds.majorization import ENTRY_CLAMP_TOL, MATRIX_SUM_TOL
+
+    if kind not in ("row", "column", "doubly"):
+        raise ValidationError(f"kind must be row, column, or doubly, got {kind!r}")
+    arr = np.asarray(entries, dtype=float)
+    if arr.ndim != 2 or arr.size == 0:
+        raise ValidationError(f"matrix must be two-dimensional and nonempty, got shape {arr.shape}")
+    low = arr.min()
+    if low < -ENTRY_CLAMP_TOL:
+        raise ValidationError(f"matrix entry {low} below clamping tolerance -{ENTRY_CLAMP_TOL}")
+    arr = np.where(arr < 0.0, 0.0, arr) if low < 0.0 else arr.copy()
+    for axis, label in ((1, "row"), (0, "column")):
+        if kind not in (label, "doubly"):
+            continue
+        dev = float(np.abs(arr.sum(axis=axis) - 1.0).max())
+        if not math.isfinite(dev):
+            raise ValidationError("matrix entries must be finite")
+        if dev > MATRIX_SUM_TOL:
+            raise ValidationError(f"{label} sums deviate from 1 by {dev} > {MATRIX_SUM_TOL}")
+    return arr

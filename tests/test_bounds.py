@@ -13,6 +13,7 @@ from sherman_bounds import (
     ModulusNotCertified,
     PointOutOfInterval,
     StochasticMatrix,
+    ValidationError,
     WeightedVector,
     WeightsNotNormalized,
     converse_sherman_strong,
@@ -384,3 +385,23 @@ class TestFullChain:
         assert chain.lhs <= chain.strong_bound + CHAIN_SLACK
         assert chain.strong_bound <= chain.plain_bound + CHAIN_SLACK
         assert chain.plain_bound <= chain.converse_bound + CHAIN_SLACK
+
+
+class TestOverflowingLinks:
+    """A sum that overflows the float range raises instead of returning inf or NaN."""
+
+    SPEC = function_from_name("square", (-1e300, 1e300))
+    X = WeightedVector([1e300, -1e300], [0.5, 0.5])
+    Y = WeightedVector([0.0], [1.0])
+
+    def test_each_bound_raises(self):
+        witness = StochasticMatrix([[0.5, 0.5]], "row")
+        for call in (
+            lambda: full_chain(self.X, self.Y, witness, self.SPEC, 1.0, unchecked_modulus=True),
+            lambda: sherman_strong(self.X, self.Y, self.SPEC, 1.0, matrix=witness,
+                                   unchecked_modulus=True),
+            lambda: converse_sherman_strong(self.X, 1.0, self.SPEC, 1.0, unchecked=True),
+            lambda: lah_ribaric_strong(self.X, self.SPEC, 1.0, unchecked=True),
+        ):
+            with pytest.raises(ValidationError, match="non-finite value"):
+                call()

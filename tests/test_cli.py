@@ -391,8 +391,7 @@ class TestErrorExits:
     ])
     def test_overflowing_report_value_exits_two(self, tmp_path, capsys, command, data, kernel):
         path = write_json(tmp_path / "in.json", data)
-        with pytest.warns(RuntimeWarning, match="overflow"):  # S_a x^2 overflows to inf
-            code, report = run_cli(capsys, command, "--input", path, "--kernel", kernel)
+        code, report = run_cli(capsys, command, "--input", path, "--kernel", kernel)  # S_a x^2 = inf
         assert code == 2 and report["error_type"] == "ValidationError"
         assert "non-finite value" in report["error"]
 

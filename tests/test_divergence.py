@@ -1,6 +1,9 @@
 """Divergence kernels, entropy, and the two-sided sandwich."""
 
+import itertools
 import math
+import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,6 +16,7 @@ from sherman_bounds import (
     ModulusNotCertified,
     NotAProbabilityVector,
     RatioOutOfDomain,
+    ShermanBoundsError,
     StochasticMatrix,
     ValidationError,
     WeightedVector,
@@ -447,3 +451,111 @@ class TestFactoredWitnessCheck:
             s = aggregated_divergence_bounds(DistributionPair(p * scale, q * scale), merge, kernel)
             assert s.holds
             assert abs(s.value / scale - reference.value) <= 1e-12 * reference.value
+
+
+def _outcome(fn, *args):
+    """A call's result, or its exception as (type, message), for comparison."""
+    try:
+        return fn(*args)
+    except ShermanBoundsError as exc:
+        return type(exc), str(exc)
+
+
+class TestPairMemo:
+    """A pair's majorant-side sums are kept per generator and never change a result."""
+
+    KERNELS = {name: get_kernel(name) for name in STRONGLY_CONVEX}
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        size=st.integers(1, 50),
+        name=st.sampled_from(STRONGLY_CONVEX),
+        exponent=st.integers(-8, 8),
+        normalized=st.booleans(),
+    )
+    def test_any_order_matches_a_fresh_pair(self, seed, size, name, exponent, normalized):
+        rng = np.random.default_rng(seed)
+        p = rng.uniform(0.1, 1.0, size)
+        q = p * rng.uniform(0.2, 5.0, size)  # some ratios leave (0.1, 10) once normalized
+        if normalized:
+            p, q = p / p.sum(), q / q.sum()
+        p, q = p * 10.0**exponent, q * 10.0**exponent
+        rows = int(rng.integers(1, size + 1))
+        merge = StochasticMatrix(random_row_stochastic(rng, size, rows).T, "column")
+        kernel = self.KERNELS[name]
+        calls = {
+            "value": lambda pair: csiszar_divergence(pair, kernel),
+            "total": lambda pair: divergence_bounds(pair, kernel),
+            "merged": lambda pair: aggregated_divergence_bounds(pair, merge, kernel),
+        }
+        fresh = {key: _outcome(call, DistributionPair(p, q)) for key, call in calls.items()}
+        for order in itertools.permutations(calls):
+            pair = DistributionPair(p, q)
+            for key in order + order[:1]:  # the first call once more reads the memo only
+                assert _outcome(calls[key], pair) == fresh[key]
+
+    def test_kl_on_two_intervals_gets_two_entries(self):
+        pair = bounded_pair(np.random.default_rng(64), 9)
+        narrow, wide = get_kernel("kl"), get_kernel("kl", (0.05, 20.0))
+        for kernel in (narrow, wide, narrow):
+            fresh = DistributionPair(pair.p, pair.q)
+            assert divergence_bounds(pair, kernel) == divergence_bounds(fresh, kernel)
+        assert set(pair._sums) == {narrow.generator, wide.generator}
+        assert pair._sums[narrow.generator].spread != pair._sums[wide.generator].spread
+
+    def test_a_ratio_failure_is_not_memoized(self):
+        pair = DistributionPair([0.5, 0.5], [0.04, 0.96])  # ratio 0.08 < 0.1
+        kernel = get_kernel("kl")
+        merge = StochasticMatrix(np.eye(2), "column")
+        for _ in range(2):
+            for call in (
+                lambda: csiszar_divergence(pair, kernel),
+                lambda: divergence_bounds(pair, kernel),
+                lambda: aggregated_divergence_bounds(pair, merge, kernel),
+            ):
+                with pytest.raises(RatioOutOfDomain):
+                    call()
+        assert pair._sums == {}
+        assert csiszar_divergence(pair, get_kernel("kl", (0.01, 10.0))) > 0.0
+
+    def test_lone_divergence_evaluates_f_once_and_no_moment(self):
+        base = get_kernel("hellinger")
+        shapes = []
+
+        def counted(t):
+            shapes.append(np.shape(t))
+            return base.generator.evaluator(t)
+
+        kernel = replace(base, generator=replace(base.generator, evaluator=counted))
+        pair = bounded_pair(np.random.default_rng(65), 30)
+        first = csiszar_divergence(pair, kernel)
+        assert csiszar_divergence(pair, kernel) == first
+        assert shapes == [(30,)]
+        sums = pair._sums[kernel.generator]
+        assert {"linear", "square", "spread"}.isdisjoint(vars(sums))
+        divergence_bounds(pair, kernel)
+        divergence_bounds(pair, kernel)
+        # each sandwich evaluates f on its aggregated ratio and at both endpoints only
+        assert shapes.count((30,)) == 1
+        assert {"linear", "square", "spread"} <= set(vars(sums))
+
+    def test_a_used_pair_still_pickles(self):
+        pair = bounded_pair(np.random.default_rng(66), 7)
+        kernel = get_kernel("kl")
+        value = csiszar_divergence(pair, kernel)
+        copy = pickle.loads(pickle.dumps(pair))
+        assert copy._sums == {} and np.array_equal(copy.ratios, pair.ratios)
+        assert csiszar_divergence(copy, kernel) == value
+
+    def test_overflowing_sum_raises_on_every_call(self):
+        pair = DistributionPair([1e-300, 1.0], [1.0, 1e-300])
+        kernel = get_kernel("kl", (5e-301, 1.0000000000000002e300))
+        chi_square = get_kernel("chi_square", kernel.interval)
+        for _ in range(3):  # the later calls read the memoized inf
+            with pytest.raises(ValidationError, match="non-finite value"):
+                divergence_bounds(pair, kernel)
+            with pytest.raises(ValidationError, match="non-finite value"):
+                csiszar_divergence(pair, chi_square)  # (q/p - 1)^2 overflows
+        assert pair._sums[kernel.generator].square == math.inf
+        assert pair._sums[chi_square.generator].f == math.inf

@@ -1,5 +1,7 @@
 """Majorization certificates, T-transform witnesses, and weighted pairs."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,7 +21,12 @@ from sherman_bounds import (
     verify_weighted_majorization,
 )
 from sherman_bounds import majorization
-from helpers import fsum_dot, random_doubly_stochastic, random_row_stochastic
+from helpers import (
+    fsum_dot,
+    random_doubly_stochastic,
+    random_row_stochastic,
+    three_pass_stochastic,
+)
 
 
 class TestWeightedVector:
@@ -80,6 +87,122 @@ class TestStochasticMatrix:
     def test_rejects_bad_kind(self):
         with pytest.raises(ValidationError):
             StochasticMatrix([[1.0]], "diagonal")
+
+
+def _stochastic(rng, shape, kind):
+    """A random matrix of the kind; row and column kinds end their last row in zeros."""
+    if kind == "doubly":
+        return random_doubly_stochastic(rng, shape[0])
+    raw = rng.uniform(0.01, 1.0, shape)
+    raw[-1, -2:] = 0.0
+    return raw / raw.sum(axis=1 if kind == "row" else 0, keepdims=True)
+
+
+def _last_row_zeros(entries):
+    """Columns of the last two zeros in the last row."""
+    zeros = np.flatnonzero(entries[-1] == 0.0)[-2:]
+    assert zeros.size == 2
+    return zeros
+
+
+#: Shapes that span several ~1 MB blocks, none a whole number of blocks; a
+#: tall "column" matrix is cut into row blocks like the other kinds.
+MULTI_BLOCK = [
+    ((3, 200_000), "column"),
+    ((200_000, 3), "column"),
+    ((600, 3_000), "row"),
+    ((600, 600), "doubly"),
+]
+
+
+class TestBlockedValidation:
+    """``StochasticMatrix`` reads its input once, in blocks, and matches the three-pass oracle."""
+
+    @staticmethod
+    def assert_like_oracle(entries, kind):
+        """Same entries bit for bit, or the same error; the caller's array is untouched."""
+        before = np.array(entries, dtype=float)
+        try:
+            expected = three_pass_stochastic(entries, kind)
+        except ValidationError as exc:
+            with pytest.raises(ValidationError) as excinfo:
+                StochasticMatrix(entries, kind)
+            assert str(excinfo.value) == str(exc)
+            expected = None
+        else:
+            got = StochasticMatrix(entries, kind).entries
+            assert got.shape == expected.shape and not got.flags.writeable
+            assert np.array_equal(got.view(np.int64), np.ascontiguousarray(expected).view(np.int64))
+        if isinstance(entries, np.ndarray):
+            assert entries.flags.writeable
+            assert np.array_equal(entries.view(np.int64), before.view(np.int64))
+        return expected
+
+    @pytest.mark.parametrize("shape, kind", MULTI_BLOCK + [((7, 7), "doubly")])
+    def test_valid_matrices(self, shape, kind):
+        entries = _stochastic(np.random.default_rng(71), shape, kind)
+        assert self.assert_like_oracle(entries, kind) is not None
+
+    @pytest.mark.parametrize("shape, kind", MULTI_BLOCK + [((7, 7), "doubly")])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_only_in_the_last_block(self, shape, kind, bad):
+        entries = _stochastic(np.random.default_rng(72), shape, kind)
+        entries[-1, -1] = bad
+        assert self.assert_like_oracle(entries, kind) is None
+        entries[0, 0] = -2e-14  # NaN outranks it, -inf is the smaller entry, +inf is not
+        assert self.assert_like_oracle(entries, kind) is None
+
+    @pytest.mark.parametrize("shape, kind", MULTI_BLOCK)
+    def test_late_negatives(self, shape, kind):
+        rng = np.random.default_rng(73)
+        clamped = _stochastic(rng, shape, kind)
+        tiny, negative_zero = _last_row_zeros(clamped)
+        clamped[-1, tiny] = -5e-15
+        clamped[-1, negative_zero] = -0.0
+        got = self.assert_like_oracle(clamped, kind)
+        assert got[-1, tiny] == 0.0 and math.copysign(1.0, got[-1, tiny]) == 1.0
+        assert math.copysign(1.0, got[-1, negative_zero]) == -1.0
+        rejected = _stochastic(rng, shape, kind)
+        rejected[-1, _last_row_zeros(rejected)[0]] = -2e-14
+        with pytest.raises(ValidationError, match="below clamping tolerance"):
+            StochasticMatrix(rejected, kind)
+        assert self.assert_like_oracle(rejected, kind) is None
+
+    @pytest.mark.parametrize("shape, kind", MULTI_BLOCK)
+    def test_late_sum_deviation(self, shape, kind):
+        entries = _stochastic(np.random.default_rng(74), shape, kind)
+        entries[-1, -1] += 3e-12
+        with pytest.raises(ValidationError, match="sums deviate"):
+            StochasticMatrix(entries, kind)
+        assert self.assert_like_oracle(entries, kind) is None
+        # rows that still sum to one: only the column sums deviate
+        entries = _stochastic(np.random.default_rng(74), shape, kind)
+        first, second = np.argsort(entries[-1])[-2:]
+        entries[-1, first] += 3e-12
+        entries[-1, second] -= 3e-12
+        assert (self.assert_like_oracle(entries, kind) is None) == (kind != "row")
+
+    @pytest.mark.parametrize("shape, kind", MULTI_BLOCK)
+    def test_fortran_ordered_and_strided_inputs(self, shape, kind):
+        entries = _stochastic(np.random.default_rng(75), shape, kind)
+        entries[-1, _last_row_zeros(entries)[0]] = -5e-15
+        self.assert_like_oracle(np.asfortranarray(entries), kind)
+        wide = np.zeros((shape[0], 2 * shape[1]))
+        wide[:, ::2] = entries
+        self.assert_like_oracle(wide[:, ::2], kind)
+        self.assert_like_oracle(np.ascontiguousarray(entries.T).T, kind)
+
+    def test_one_tall_column(self):
+        # numpy sums a single column pairwise, so it stays one block
+        entries = np.random.default_rng(76).uniform(0.0, 1.0, (1_000_000, 1))
+        entries /= entries.sum()
+        entries[-1, 0] += 5e-12
+        assert self.assert_like_oracle(entries, "column") is None
+
+    def test_list_input(self):
+        rows = [[0.25, 0.75, 0.0], [0.75, 0.25, -0.0], [0.0, -1e-15, 1.0 + 1e-15]]
+        for kind in ("row", "column", "doubly"):
+            self.assert_like_oracle(rows, kind)
 
 
 def test_array_dataclasses_compare_by_identity():
