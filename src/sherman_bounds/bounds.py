@@ -191,7 +191,8 @@ def _converse_link(x: _SideSums, total: float, modulus: float) -> tuple[float, .
     width = _endpoint_width(spec)
     al, be = spec.interval
     correction = modulus * x.spread
-    f_al, f_be = float(spec.evaluator(al)), float(spec.evaluator(be))
+    with np.errstate(over="ignore", invalid="ignore"):  # the path S_a f(x) takes
+        f_al, f_be = spec.evaluate(spec.interval).tolist()
     numerator = (total * be - x.linear) * f_al + (x.linear - total * al) * f_be
     return _finite(numerator / width - correction, correction)
 

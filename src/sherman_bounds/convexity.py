@@ -21,6 +21,7 @@ A named catalog of common functions (``square``, ``exp``, ``xlogx``,
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
@@ -229,12 +230,30 @@ def estimate_strong_modulus(spec: FunctionSpec, n: int) -> ModulusCertificate:
     n-th derivative is monotone or has interior minima resolved by the
     grid this equals the exact modulus up to grid resolution.
 
+    Certificates are memoized per spec and order (the last 128), so the
+    same spec returns the same certificate object and its grid is
+    evaluated once per process; the spec's callables must therefore be
+    pure.  A spec that holds an unhashable callable is certified afresh on
+    every call.  Errors are not memoized.
+
     Raises:
         MissingDerivative: if ``spec`` lacks the n-th derivative.
         ValueError: on ``n < 1``.
     """
     if n < 1:
         raise ValueError(f"order must be >= 1, got {n}")
+    # The hex ends tell apart the signed zeros that == identifies.
+    key = (spec, n, spec.alpha.hex(), spec.beta.hex())
+    try:
+        hash(key)
+    except TypeError:  # a callable with __eq__ but no __hash__
+        return _grid_certificate.__wrapped__(key)
+    return _grid_certificate(key)
+
+
+@functools.lru_cache(maxsize=128)
+def _grid_certificate(key) -> ModulusCertificate:
+    spec, n = key[:2]
     grid = np.linspace(spec.alpha, spec.beta, DEFAULT_MODULUS_GRID)
     vals = spec.evaluate(grid, n) / math.factorial(n)
     if not np.all(np.isfinite(vals)):

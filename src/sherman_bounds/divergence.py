@@ -130,7 +130,14 @@ class DistributionPair:
             raise ValidationError("p and q must be finite")
         if min(ends) <= 0.0:
             raise ValidationError("p and q must be strictly positive")
-        ratios = q / p
+        with np.errstate(over="ignore"):
+            ratios = q / p
+        if not math.isfinite(ratios.max()):
+            i = int(ratios.argmax())
+            raise ValidationError(
+                f"non-finite ratio q/p = {ratios[i]} at index {i}: "
+                f"{float(q[i])!r}/{float(p[i])!r} overflows the float range"
+            )
         for arr in (p, q, ratios):
             arr.setflags(write=False)
         object.__setattr__(self, "p", p)

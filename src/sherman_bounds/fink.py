@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import functools
 import math
+import weakref
 from dataclasses import asdict, dataclass
 from typing import NamedTuple, Optional
 
@@ -170,9 +171,10 @@ def _integrate_pieces(integrand, cuts: np.ndarray, cfg: QuadratureConfig) -> flo
 
 
 def _interior_cuts(alpha: float, beta: float, interior) -> np.ndarray:
+    """``alpha``, the sorted ``interior`` points strictly inside, and ``beta``, each once."""
     pts = np.asarray(interior, dtype=float)
-    pts = pts[(pts > alpha) & (pts < beta)]
-    return np.unique(np.concatenate([[alpha], pts, [beta]]))
+    cuts = np.concatenate([[alpha], pts[(pts > alpha) & (pts < beta)], [beta]])
+    return cuts[np.concatenate([[True], np.diff(cuts) != 0.0])]
 
 
 def fink_identity_check(
@@ -267,6 +269,41 @@ def _bernstein_from_values(n: int) -> np.ndarray:
 MAX_SIGN_DEPTH = 30
 
 
+class _Layout(NamedTuple):
+    """The order-independent part of a pair's kernel weight on an interval."""
+
+    points: np.ndarray  # both sides' points, in one stable sort
+    sides: np.ndarray  # (2, m) masks of the majorant's points and of its partner's
+    weights: np.ndarray
+    u: np.ndarray  # (points - center) / half
+    cuts: np.ndarray
+    starts: np.ndarray  # merged index at which each piece starts
+    empty: list  # per side: prefix columns before its first point, suffix after its last
+
+
+def _pair_layout(x: WeightedVector, y: WeightedVector, alpha: float, beta: float,
+                 center: float, half: float) -> _Layout:
+    """The layout of ``(x, y)`` on ``[alpha, beta]``, memoized on ``x``.
+
+    Entries are keyed by a weak reference to ``y`` and by the interval's
+    exact bits, so the memo never keeps ``y`` alive.
+    """
+    layouts = x._memoized("kernel_layouts", weakref.WeakKeyDictionary).setdefault(y, {})
+    key = (float(alpha).hex(), float(beta).hex())
+    if key not in layouts:
+        merged = np.concatenate([x.points, y.points])
+        order = np.argsort(merged, kind="stable")
+        points, on_x = merged[order], order < x.size
+        cuts = _interior_cuts(alpha, beta, points)
+        sides = np.stack([on_x, ~on_x])
+        layouts[key] = _Layout(
+            points, sides, np.concatenate([x.weights, y.weights])[order],
+            (points - center) / half, cuts, np.searchsorted(points, cuts[:-1], side="right"),
+            [(mask.argmax() + 1, mask.size - mask[::-1].argmax()) for mask in sides],
+        )
+    return layouts[key]
+
+
 class _KernelWeight:
     """The combined kernel weight ``W`` of a pair, as a piecewise polynomial.
 
@@ -283,6 +320,14 @@ class _KernelWeight:
     identical sides give exact zeros.  ``pieces`` holds the coefficients
     of the piece starting at each of ``cuts`` (the ends and interior data
     points) but the last.
+
+    Both sides are sorted together, once per pair and interval: the sort,
+    the cuts and ``u`` are memoized on ``x`` (see :func:`_pair_layout`).
+    Each side's moment rows fill one ``(2, n, m)`` block over the merged
+    points, padded with ``-0.0`` where the other side's points sit; as
+    ``s + -0.0 == s`` for every ``s``, one prefix and one suffix ``cumsum``
+    give each side's partial sums exactly as a sort of that side alone
+    would, and sums over no point of a side are ``+0.0``.
     """
 
     def __init__(
@@ -292,24 +337,24 @@ class _KernelWeight:
         self.beta = beta
         self.center = 0.5 * (alpha + beta)
         self.half = 0.5 * (beta - alpha) or 1.0  # a one-point hull has W = 0
+        layout = _pair_layout(x, y, alpha, beta, self.center, self.half)
+        self.points, self.cuts = layout.points, layout.cuts
         scale = self.half ** (n - 1) * np.array([math.comb(n - 1, p) for p in range(n)])
-        self.sides = [self._moment_sums(v, n, scale) for v in (x, y)]
-        self.cuts = _interior_cuts(alpha, beta, np.concatenate([x.points, y.points]))
-        self.pieces = self.coefficients(self.cuts[:-1], "right")
-
-    def _moment_sums(self, v: WeightedVector, n: int, scale: np.ndarray):
-        order = np.argsort(v.points, kind="stable")
-        pts = v.points[order]
-        u = (pts - self.center) / self.half
-        terms = np.empty((n, pts.size))
-        terms[0] = v.weights[order]
+        terms = np.empty((n, layout.points.size))
+        terms[0] = layout.weights
         for p in range(1, n):
-            np.multiply(terms[p - 1], u, out=terms[p])
+            np.multiply(terms[p - 1], layout.u, out=terms[p])
         terms *= scale[:, None]
-        zero = np.zeros((n, 1))
-        suffix = np.concatenate([np.cumsum(terms[:, ::-1], axis=1)[:, ::-1], zero], axis=1)
-        prefix = np.concatenate([zero, np.cumsum(terms, axis=1)], axis=1)
-        return pts, suffix, prefix
+        block = np.where(layout.sides[:, None, :], terms, -0.0)
+        shape = (2, n, layout.points.size + 1)
+        self.prefix, self.suffix = np.zeros(shape), np.zeros(shape)
+        np.cumsum(block, axis=2, out=self.prefix[:, :, 1:])
+        np.cumsum(block[:, :, ::-1], axis=2, out=self.suffix[:, :, -2::-1])
+        for side, (before, after) in enumerate(layout.empty):
+            # sums over the other side's points only are -0.0; a side sorted alone has +0.0
+            self.prefix[side, :, :before] = 0.0
+            self.suffix[side, :, after:] = 0.0
+        self.pieces = self._gather(layout.starts)
 
     def coefficients(self, t: np.ndarray, side: str) -> tuple[np.ndarray, np.ndarray]:
         """Suffix and prefix coefficients of ``W`` at ``t``, each ``(n, len(t))``.
@@ -318,10 +363,12 @@ class _KernelWeight:
         branch (the value at ``t``); with ``side="right"`` it is on the
         ``t - beta`` branch (the right limit, and the piece starting at ``t``).
         """
-        (px, sx, qx), (py, sy, qy) = self.sides
-        i = np.searchsorted(px, t, side=side)
-        j = np.searchsorted(py, t, side=side)
-        return sx[:, i] - sy[:, j], qx[:, i] - qy[:, j]
+        return self._gather(np.searchsorted(self.points, t, side=side))
+
+    def _gather(self, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Coefficients of ``W`` where ``k`` merged points precede ``t``."""
+        suffix, prefix = self.suffix.take(k, axis=2), self.prefix.take(k, axis=2)
+        return suffix[0] - suffix[1], prefix[0] - prefix[1]
 
     def values(self, t: np.ndarray, side: str = "left") -> np.ndarray:
         """``W`` at the nodes ``t``, or its right limits with ``side="right"``."""
@@ -505,10 +552,8 @@ def _difference_terms(
     al, be = spec.interval
     width = be - al
 
-    sa = math.fsum(x.weights)
-    sb = math.fsum(y.weights)
-    max1 = math.fsum((x.weights * x.points).tolist())
-    may1 = math.fsum((y.weights * y.points).tolist())
+    sa, sb = x.weight_sum, y.weight_sum
+    max1, may1 = x._first_moment, y._first_moment
     guard = 1e-9 * max(1.0, abs(sa), abs(max1))
     if abs(sa - sb) > guard:
         raise MajorizationNotVerified(f"total weights differ: {sa} vs {sb}")

@@ -12,7 +12,7 @@ pairs from them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -56,6 +56,12 @@ class WeightedVector:
 
     Equality and hashing go by identity.
 
+    The vector keeps a private memo of what is derived from it alone (its
+    weight and first-moment ``fsum``) or from it and a partner (the sorted
+    layout of a kernel weight, see :mod:`.fink`).  No entry can go stale:
+    the vector is frozen and its arrays are read-only copies.  Pickling
+    drops the memo.
+
     Attributes:
         points: Real data points.
         weights: Nonnegative weights, same length as ``points``.
@@ -65,6 +71,7 @@ class WeightedVector:
     points: np.ndarray
     weights: np.ndarray
     interval: Optional[tuple[float, float]] = None
+    _memo: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self) -> None:
         pts = _as_vector(self.points, "points")
@@ -96,9 +103,26 @@ class WeightedVector:
     def size(self) -> int:
         return int(self.points.size)
 
+    def __getstate__(self) -> dict:
+        # Partner entries hold weak references, which do not pickle.
+        return {**vars(self), "_memo": {}}
+
+    def _memoized(self, key, compute):
+        """The memo entry ``key``, filled by ``compute()`` on first use."""
+        if key not in self._memo:
+            self._memo[key] = compute()
+        return self._memo[key]
+
     @property
     def weight_sum(self) -> float:
-        return float(math.fsum(self.weights))
+        return self._memoized("weight_sum", lambda: float(math.fsum(self.weights)))
+
+    @property
+    def _first_moment(self) -> float:
+        """``fsum`` of ``weights * points``."""
+        return self._memoized(
+            "first_moment", lambda: math.fsum((self.weights * self.points).tolist())
+        )
 
 
 @dataclass(frozen=True, eq=False)

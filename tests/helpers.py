@@ -116,3 +116,48 @@ def three_pass_stochastic(entries, kind: str) -> np.ndarray:
         if dev > MATRIX_SUM_TOL:
             raise ValidationError(f"{label} sums deviate from 1 by {dev} > {MATRIX_SUM_TOL}")
     return arr
+
+
+def two_sort_kernel_weight(x, y, n: int, alpha: float, beta: float):
+    """Oracle for ``fink._KernelWeight``: its build with one sort per side.
+
+    Each side is sorted alone and keeps its own prefix and suffix sums of
+    the scaled moments (a leading or trailing ``+0.0`` column for the sums
+    over no point); the cuts come from ``np.unique`` and each side gets its
+    own ``searchsorted``.  ``values`` and ``polynomial`` are the class's own.
+    """
+    from sherman_bounds import fink
+
+    class TwoSortKernelWeight(fink._KernelWeight):
+        def __init__(self):
+            self.alpha, self.beta = alpha, beta
+            self.center = 0.5 * (alpha + beta)
+            self.half = 0.5 * (beta - alpha) or 1.0
+            scale = self.half ** (n - 1) * np.array([math.comb(n - 1, p) for p in range(n)])
+            self.sides = [self._moment_sums(v, scale) for v in (x, y)]
+            pts = np.concatenate([x.points, y.points])
+            pts = pts[(pts > alpha) & (pts < beta)]
+            self.cuts = np.unique(np.concatenate([[alpha], pts, [beta]]))
+            self.pieces = self.coefficients(self.cuts[:-1], "right")
+
+        def _moment_sums(self, v, scale):
+            order = np.argsort(v.points, kind="stable")
+            pts = v.points[order]
+            u = (pts - self.center) / self.half
+            terms = np.empty((n, pts.size))
+            terms[0] = v.weights[order]
+            for p in range(1, n):
+                np.multiply(terms[p - 1], u, out=terms[p])
+            terms *= scale[:, None]
+            zero = np.zeros((n, 1))
+            suffix = np.concatenate([np.cumsum(terms[:, ::-1], axis=1)[:, ::-1], zero], axis=1)
+            prefix = np.concatenate([zero, np.cumsum(terms, axis=1)], axis=1)
+            return pts, suffix, prefix
+
+        def coefficients(self, t, side):
+            (px, sx, qx), (py, sy, qy) = self.sides
+            i = np.searchsorted(px, t, side=side)
+            j = np.searchsorted(py, t, side=side)
+            return sx[:, i] - sy[:, j], qx[:, i] - qy[:, j]
+
+    return TwoSortKernelWeight()

@@ -236,6 +236,20 @@ class TestConverse:
             upper = converse_sherman_strong(x, x.weight_sum, EXP01)
             assert plain <= upper + CHAIN_SLACK
 
+    def test_chord_reads_f_through_the_array_path(self):
+        # numpy's array power and C pow round pow:3 apart at some points; take two as the ends
+        t = np.random.default_rng(5).uniform(-10.0, 10.0, 20000)
+        spec = function_from_name("pow:3", (-10.0, 10.0))
+        split = t[spec.evaluate(t) != np.array([spec.evaluator(v) for v in t.tolist()])]
+        lo, hi = (float(split.min()), float(split.max())) if split.size else (-10.0, 10.0)
+        spec = function_from_name("pow:3", (lo, hi))
+        x = WeightedVector([lo, 0.5 * (lo + hi), hi], [0.25, 0.5, 0.25])
+        f_lo, _, f_hi = spec.evaluate(x.points).tolist()
+        assert split.size == 0 or (f_lo, f_hi) != (spec.evaluator(lo), spec.evaluator(hi))
+        linear = float(x.weights @ x.points)
+        chord = ((hi - linear) * f_lo + (linear - lo) * f_hi) / (hi - lo)
+        assert converse_sherman_strong(x, 1.0, spec, 0.0, unchecked=True) == chord
+
     @pytest.mark.parametrize("total", [math.nan, math.inf, -math.inf, -1.0])
     def test_invalid_total_weight_rejected(self, total):
         # nan and inf gave a NaN bound, and -1.0 a finite number

@@ -421,6 +421,12 @@ class TestErrorExits:
         assert code == 2 and report["error_type"] == "ValidationError"
         assert "overflow" in report["error"]
 
+    def test_overflowing_ratio_exits_two(self, tmp_path, capsys):
+        path = write_json(tmp_path / "d.json", {"p": [1e-300, 1.0], "q": [1e300, 1.0]})
+        code, report = run_cli(capsys, "divergence", "--input", path, "--kernel", "kl")
+        assert code == 2 and report["error_type"] == "ValidationError"
+        assert "non-finite ratio" in report["error"]
+
     @pytest.mark.parametrize("alpha", ["nan", "inf", "-2"])
     def test_alpha_must_be_finite_and_positive(self, tmp_path, alpha):
         argv = ["divergence", "--input", str(tmp_path / "d.json"), "--kernel", "renyi"]

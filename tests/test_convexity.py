@@ -1,6 +1,7 @@
 """Divided differences, modulus certification, and the function catalog."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from sherman_bounds import (
     EmptyPoints,
     FunctionSpec,
     MissingDerivative,
+    ModulusCertificate,
     PointOutOfInterval,
     ValidationError,
     catalog,
@@ -174,6 +176,67 @@ class TestModulusCertification:
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
             estimate_strong_modulus(SQUARE01, 0)
+
+
+class CountingSecond:
+    """``f'' = 2``, counting its calls."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __call__(self, t):
+        self.calls += 1
+        return 0.0 * t + 2.0
+
+
+class UnhashableSecond(CountingSecond):
+    def __eq__(self, other):  # without __hash__, instances cannot be hashed
+        return self is other
+
+
+class TestCertificateMemo:
+    @staticmethod
+    def spec(second, interval=(0.0, 1.0)):
+        return FunctionSpec("sq", lambda t: t * t, (lambda t: 2.0 * t, second), interval)
+
+    def test_same_spec_same_certificate_object(self):
+        second = CountingSecond()
+        spec = self.spec(second)
+        cert = estimate_strong_modulus(spec, 2)
+        assert estimate_strong_modulus(spec, 2) is cert
+        assert second.calls == 1  # the grid is evaluated once
+        assert cert == ModulusCertificate(2, 1.0, 10001, "certified", 1.0)
+
+    def test_equal_spec_shares_the_entry(self):
+        spec = self.spec(CountingSecond())
+        assert estimate_strong_modulus(replace(spec), 2) is estimate_strong_modulus(spec, 2)
+
+    def test_other_interval_or_order_gets_its_own_entry(self):
+        second = CountingSecond()
+        spec = self.spec(second)
+        wide = replace(spec, interval=(0.0, 2.0))
+        cert = estimate_strong_modulus(spec, 2)
+        assert estimate_strong_modulus(wide, 2) is not cert
+        assert estimate_strong_modulus(spec, 1) is not cert
+        assert estimate_strong_modulus(spec, 1).order == 1
+        assert second.calls == 2  # orders 2 on two intervals
+        signed = replace(spec, interval=(-0.0, 1.0))
+        assert signed == spec and estimate_strong_modulus(signed, 2) is not cert
+
+    def test_unhashable_callable_is_certified_without_the_memo(self):
+        second = UnhashableSecond()
+        spec = self.spec(second)
+        with pytest.raises(TypeError):
+            hash(spec)
+        first, again = estimate_strong_modulus(spec, 2), estimate_strong_modulus(spec, 2)
+        assert first == again == ModulusCertificate(2, 1.0, 10001, "certified", 1.0)
+        assert second.calls == 2
+
+    def test_errors_are_not_memoized(self):
+        spec = FunctionSpec("f", math.exp, (), (0.0, 1.0))
+        for _ in range(2):
+            with pytest.raises(MissingDerivative):
+                estimate_strong_modulus(spec, 2)
 
 
 class TestSampledConvexity:

@@ -75,6 +75,12 @@ class TestDistributionPair:
         with pytest.raises(ValidationError):
             DistributionPair([0.5, math.inf], [0.5, 0.5])
 
+    def test_overflowing_ratio_is_an_input_error(self):
+        # q / p overflows to inf: the message names the ratio, and no RuntimeWarning is raised
+        with pytest.raises(ValidationError, match=r"non-finite ratio q/p = inf at index 0"):
+            DistributionPair([1e-300, 1.0], [1e300, 1.0])
+        assert DistributionPair([1e-300, 1.0], [1e-300, 1.0]).ratios.tolist() == [1.0, 1.0]
+
     def test_caller_arrays_stay_writable(self):
         p = np.array([0.5, 0.5])
         q = np.array([0.2, 0.8])

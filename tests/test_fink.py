@@ -1,6 +1,9 @@
 """Identity checks, kernel sign certificates, and higher-order bounds."""
 
+import gc
 import math
+import pickle
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -30,7 +33,7 @@ from sherman_bounds import (
 )
 import sherman_bounds
 from sherman_bounds import fink
-from helpers import fsum_dot, gauss_legendre, random_chain_instance
+from helpers import fsum_dot, gauss_legendre, random_chain_instance, two_sort_kernel_weight
 
 EXP01 = function_from_name("exp", (0.0, 1.0))
 
@@ -741,3 +744,126 @@ class TestHigherOrderBound:
         assert forward.kernel_condition == "nonnegative" and forward.holds
         assert backward.kernel_condition == "nonpositive" and backward.holds
         assert abs(forward.lhs_with_correction + backward.lhs_with_correction) <= 1e-12
+
+
+@st.composite
+def memo_pairs(draw):
+    """A majorized pair on [0, 1] with at most 40 points in all.
+
+    Points are often 0, 1 or shared between the sides (a row of the witness
+    that copies one point of ``x``), some weights are zero, the weights
+    carry a scale 10^k, and some pairs sit on one point.
+    """
+    rows, cols = draw(st.integers(1, 15)), draw(st.integers(1, 24))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.uniform(0.0, 1.0, cols)
+    shared = rng.random(cols) < 0.5
+    x[shared] = rng.choice([0.0, 1.0, 0.25, 0.5], int(shared.sum()))
+    witness = rng.dirichlet(np.ones(cols), rows)
+    copies = rng.random(rows) < 0.4
+    witness[copies] = np.eye(cols)[rng.integers(cols, size=int(copies.sum()))]
+    b = rng.uniform(0.1, 2.0, rows) * 10.0 ** float(rng.integers(-3, 4))
+    b[rng.random(rows) < 0.2] = 0.0
+    a, y = b @ witness, witness @ x
+    if draw(st.booleans()):
+        x, a = np.append(x, rng.choice([0.0, 1.0, y[0]])), np.append(a, 0.0)
+    if draw(st.integers(0, 5)) == 0:
+        x[:], y[:] = x[0], x[0]
+    return WeightedVector(x, a), WeightedVector(y, b)
+
+
+def bits(value):
+    """``value`` with every float as its exact bits, and exceptions as type and message."""
+    if isinstance(value, BaseException):
+        return type(value).__name__, str(value)
+    if isinstance(value, np.ndarray):
+        return value.shape, value.tobytes()
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, (tuple, list)):
+        return type(value).__name__, [bits(v) for v in value]
+    if hasattr(value, "__dataclass_fields__"):
+        return bits([getattr(value, f) for f in value.__dataclass_fields__])
+    return value
+
+
+def outcome(fn, *args, **kwargs):
+    try:
+        return bits(fn(*args, **kwargs))
+    except Exception as exc:  # noqa: BLE001 - the failure is part of the outcome
+        return bits(exc)
+
+
+def copies(*vectors):
+    return [WeightedVector(v.points, v.weights) for v in vectors]
+
+
+class TestPairMemo:
+    """One merged sort per pair and interval, kept on the majorant; moment sums kept per vector."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(memo_pairs(), st.integers(1, 6), st.booleans())
+    def test_merged_build_matches_two_sort_reference(self, pair, n, on_hull):
+        x, y = pair
+        pts = np.concatenate([x.points, y.points])
+        lo, hi = (float(pts.min()), float(pts.max())) if on_hull else (0.0, 1.0)
+        for first, second in ((x, y), (y, x)):
+            weight = fink._KernelWeight(first, second, n, lo, hi)
+            oracle = two_sort_kernel_weight(first, second, n, lo, hi)
+            assert bits(weight.cuts) == bits(oracle.cuts)
+            assert bits(weight.pieces) == bits(oracle.pieces)
+            t = np.concatenate([np.linspace(lo, hi, 17), pts])
+            for side in ("left", "right"):
+                assert bits(weight.values(t, side)) == bits(oracle.values(t, side))
+                assert bits(weight.coefficients(t, side)) == bits(oracle.coefficients(t, side))
+
+    @settings(max_examples=30, deadline=None)
+    @given(memo_pairs(), st.lists(st.integers(1, 6), min_size=1, max_size=8))
+    def test_repeated_calls_equal_calls_on_fresh_copies(self, pair, orders):
+        x, y = pair
+        calls = [
+            lambda u, v, n: check_kernel_condition(u, v, n),
+            lambda u, v, n: check_kernel_condition(u, v, n, interval=(0.0, 1.0)),
+            lambda u, v, n: sherman_difference_identity(u, v, EXP01, n),
+            lambda u, v, n: higher_order_sherman_bound(u, v, EXP01, n, 0.0),
+        ]
+        for n in orders:
+            for call in calls:
+                assert outcome(call, x, y, n) == outcome(call, *copies(x, y), n)
+
+    def test_memo_does_not_keep_the_partner_alive(self):
+        x, y, _ = random_chain_instance(np.random.default_rng(60), (0.0, 1.0))
+        check_kernel_condition(x, y, 2, interval=(0.0, 1.0))
+        partner = weakref.ref(y)
+        del y
+        gc.collect()
+        assert partner() is None
+        assert len(x._memo["kernel_layouts"]) == 0
+
+    def test_filled_memo_survives_pickling(self):
+        x, y, _ = random_chain_instance(np.random.default_rng(61), (0.0, 1.0))
+        before = [outcome(sherman_difference_identity, x, y, EXP01, n) for n in (2, 3)]
+        assert {"weight_sum", "first_moment", "kernel_layouts"} <= set(x._memo)
+        x2, y2 = pickle.loads(pickle.dumps((x, y)))
+        assert x2._memo == {} and y2._memo == {}
+        assert bits(x2.points) == bits(x.points) and bits(x2.weights) == bits(x.weights)
+        assert [outcome(sherman_difference_identity, x2, y2, EXP01, n) for n in (2, 3)] == before
+
+    def test_moment_sums_are_computed_once(self):
+        x, y, _ = random_chain_instance(np.random.default_rng(62), (0.0, 1.0))
+        with mock.patch.object(math, "fsum", wraps=math.fsum) as fsum:
+            for n in (2, 3, 4):
+                sherman_difference_identity(x, y, EXP01, n)
+        assert fsum.call_count == 4  # weight and first moment, each side once
+        assert x.weight_sum == math.fsum(x.weights)
+        assert x._first_moment == math.fsum((x.weights * x.points).tolist())
+
+    def test_one_sort_for_every_order(self):
+        x, y, _ = random_chain_instance(np.random.default_rng(63), (0.0, 1.0))
+        with mock.patch.object(np, "argsort", wraps=np.argsort) as argsort:
+            for n in (2, 4):
+                higher_order_sherman_bound(x, y, EXP01, n, 0.0)
+            sherman_difference_identity(x, y, EXP01, 3)
+            assert argsort.call_count == 1
+            check_kernel_condition(x, y, 3)  # the hull is another interval
+            assert argsort.call_count == 2
