@@ -225,7 +225,7 @@ def jensen_strong(
     # S_a x^2 - xbar^2, which cancels when |xbar| is large next to the spread.
     variance = float(wts @ ((pts - xbar) ** 2))
     return JensenBound(
-        lhs=float(spec.evaluator(xbar)),
+        lhs=float(spec.evaluate([xbar])[0]),  # the path S_a f(x) takes
         rhs=float(wts @ spec.evaluate(pts)) - modulus * variance,
         variance_term=variance,
     )

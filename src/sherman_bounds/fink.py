@@ -148,13 +148,11 @@ def _first_step(integrand, cuts: np.ndarray, cfg: QuadratureConfig):
 
 
 def _integrate_pieces(integrand, cuts: np.ndarray, cfg: QuadratureConfig) -> float:
-    """Sum of the integrals of ``integrand(t, i)`` over increasing ``cuts``.
+    """Sum of the integrals of ``integrand(t, i)`` over increasing ``cuts`` (two or more).
 
     Pieces that :func:`_first_step` rejects go, in order, to ``quad`` with
     ``epsabs = abs_tol / pieces``: every piece meets what ``quad`` requires.
     """
-    if cuts.size < 2:
-        return 0.0
     result, abserr, accepted = _first_step(integrand, cuts, cfg)
     for i in np.flatnonzero(~accepted).tolist():
         lo, hi = float(cuts[i]), float(cuts[i + 1])

@@ -267,11 +267,13 @@ def construct_doubly_stochastic(x, y, tol: float = DEFAULT_TOL) -> StochasticMat
     Classical construction: sort both vectors in decreasing order, then
     apply at most ``m - 1`` T-transforms (convex mixtures of the identity
     and a transposition), each matching at least one more coordinate of
-    the working vector to ``y``.  Each step mixes two rows in O(m), and
-    the pair it acts on is found by two pointers that only move forward,
-    so the search is amortised O(1) per step and the witness costs
-    O(m^2).  Sorting permutations are undone at the end, so ``A`` refers
-    to the original coordinate order.
+    the working vector to ``y``.  The pair each step acts on is found by
+    two pointers that only move forward, so the search is amortised O(1)
+    per step, and a step mixes the row carried over from the previous
+    step with a unit row.  The carried row is kept as a scalar times a
+    base row; the row the step finishes is written once, in O(m), straight
+    into ``A`` in the original coordinate order, so the witness costs
+    O(m^2).
 
     Args:
         x: Majorant vector.
@@ -303,7 +305,11 @@ def _t_transform_witness(xa: np.ndarray, ya: np.ndarray) -> StochasticMatrix:
     ordy = np.argsort(-ya, kind="stable")
     v = xa[ordx].tolist()
     target = ya[ordy].tolist()
-    work = np.eye(m)
+    rows = ordy.tolist()
+    cols = ordx.tolist()
+    # Sorted row i is row rows[i] of the result; rows no step touches stay unit.
+    matrix = np.zeros((m, m))
+    matrix[ordy, ordx] = 1.0
     scale = max(1.0, float(np.abs(xa).max()))
     eps = 1e-13 * scale
     # j is the first donor (v > target + eps), k the first receiver after j
@@ -311,25 +317,51 @@ def _t_transform_witness(xa: np.ndarray, ya: np.ndarray) -> StochasticMatrix:
     # so no donor drops below its target, no receiver rises above it, and
     # coordinates before j are matched and never touched again: neither
     # pointer moves back, and the whole search costs O(m).
+    #
+    # So each step mixes the row carried over from the previous step, held
+    # as c * base at sorted index `held`, with a unit row; one of the two is
+    # then final and written once.  Rescaling at c < 1e-150 keeps c from
+    # underflowing: lam >= 5e-14 (delta > eps, v[j] - v[k] <= 2 * scale).
+    held, c, base = -1, 1.0, None
     j = k = 0
     for _ in range(m - 1):
         while j < m and v[j] - target[j] <= eps:
             j += 1
-        k = max(k, j + 1)
+        if k <= j:
+            k = j + 1
         while k < m and v[k] - target[k] >= -eps:
             k += 1
         if k >= m:
             break
-        delta = min(v[j] - target[j], target[k] - v[k])
+        surplus = v[j] - target[j]
+        deficit = target[k] - v[k]
+        delta = surplus if surplus < deficit else deficit
         lam = delta / (v[j] - v[k])  # v[j] > target[j] >= target[k] > v[k]
-        # The T-transform mixes rows j and k only: O(m) per step.
-        step = lam * (work[k] - work[j])
-        work[j] += step
-        work[k] -= step
         v[j] -= delta
         v[k] += delta
-    matrix = np.empty((m, m))
-    matrix[np.ix_(ordy, ordx)] = work
+        if held != j and held != k:
+            if held >= 0:
+                np.multiply(base, c, out=matrix[rows[held]])
+            held, c, base = j, 1.0, np.zeros(m)
+            base[cols[j]] = 1.0
+        fresh = j + k - held
+        # The step leaves the held row at (1 - lam) * c * base + lam * e_fresh
+        # and the fresh row at lam * c * base + (1 - lam) * e_fresh.  The donor
+        # stays held unless matched; then the receiver is (written next step
+        # if matched too).  The row written now is a * c * base + b * e_fresh,
+        # and the row held next is b * c * base + a * e_fresh.
+        keep = k if v[j] - target[j] <= eps else j
+        a, b = (lam, 1.0 - lam) if keep == held else (1.0 - lam, lam)
+        row = matrix[rows[j + k - keep]]
+        np.multiply(base, c * a, out=row)
+        row[cols[fresh]] = b
+        held, c = keep, c * b
+        base[cols[fresh]] = a / c
+        if c < 1e-150:
+            base *= c
+            c = 1.0
+    if held >= 0:
+        np.multiply(base, c, out=matrix[rows[held]])
     residual = float(np.abs(ya - matrix @ xa).max())
     bound = 1e-10 * scale
     if not residual <= bound:

@@ -128,6 +128,19 @@ class TestJensen:
             assert abs(bound.rhs - rhs) <= 1e-12
             assert bound.lhs <= bound.rhs + CHAIN_SLACK
 
+    def test_one_point_equality_reads_f_through_the_array_path(self):
+        # numpy's array power and C pow round pow:3 apart at some points; at
+        # one point both sides are f(t), so they must read it the same way
+        spec = function_from_name("pow:3", (0.5, 10.0))
+        t = np.random.default_rng(33).uniform(0.5, 10.0, 40000)
+        split = t[spec.evaluate(t) != np.array([spec.evaluator(v) for v in t.tolist()])][:200]
+        assert split.size == 200
+        cert = estimate_strong_modulus(spec, 2)
+        for point in split.tolist():
+            bound = jensen_strong(WeightedVector([point], [1.0]), spec, certificate=cert)
+            assert bound.variance_term == 0.0
+            assert bound.lhs == bound.rhs == spec.evaluate([point])[0]
+
     def test_requires_normalized_weights(self):
         with pytest.raises(WeightsNotNormalized):
             jensen_strong(WeightedVector([0.5], [2.0]), EXP01)

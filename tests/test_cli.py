@@ -242,6 +242,32 @@ class TestDivergenceCommand:
         assert report["result"]["lower_ck"] > 0.0
         assert report["result"]["holds"] is True
 
+    def test_explicit_interval(self, tmp_path, capsys):
+        # ratios q/p are 0.8, 7/6 and 1.25
+        data = {"p": [0.5, 0.3, 0.2], "q": [0.4, 0.35, 0.25]}
+        path = write_json(tmp_path / "d.json", data)
+        code, report = run_cli(
+            capsys, "divergence", "--input", path, "--kernel", "kl", "--interval", "0.5,2"
+        )
+        assert code == 0
+        assert report["config"]["interval"] == [0.5, 2.0]
+        result = report["result"]
+        assert result["holds"] is True
+        assert result["lower_ck"] <= result["lower_strong"] <= result["value"]
+        assert result["value"] <= result["upper_converse"]
+        # kl's modulus is min 1/(2t) over the interval: 1/4 on [0.5, 2], not the hull's 0.4
+        assert 0.24 <= result["modulus"] <= 0.25
+
+    def test_interval_leaving_out_a_ratio_exits_three(self, tmp_path, capsys):
+        data = {"p": [0.5, 0.3, 0.2], "q": [0.4, 0.35, 0.25]}
+        path = write_json(tmp_path / "d.json", data)
+        code, report = run_cli(
+            capsys, "divergence", "--input", path, "--kernel", "kl", "--interval", "0.9,2"
+        )
+        assert code == 3
+        assert report["error_type"] == "RatioOutOfDomain"
+        assert report["exit_status"] == "error"
+
     def test_renyi_alpha_flag(self, tmp_path, capsys):
         data = {"p": [0.5, 0.5], "q": [0.4, 0.6]}
         path = write_json(tmp_path / "r.json", data)

@@ -597,3 +597,46 @@ class TestWitnessPointers:
         pairs[: 2 * half, : 2 * half] = np.kron(np.eye(half), np.full((2, 2), 0.5))
         y = (pairs @ random_doubly_stochastic(rng, size) @ x)[rng.permutation(size)]
         check_against_dense(x, y, scale=max(1.0, float(np.abs(x).max())))
+
+
+class TestCarriedRow:
+    """The carried row of the witness: chain breaks, no steps and rescaling.
+
+    ``m = 1`` is the ``m1`` case of :class:`TestWitnessPointers`.
+    """
+
+    def test_step_that_matches_both_breaks_the_chain(self):
+        # Sorted, x - y = [2, -1, -1, 1, 1, -2]: the second step empties the
+        # donor and fills the receiver at once, so a new chain starts at the
+        # fourth coordinate, and its last step matches both again.
+        x = np.array([20.0, 16.0, 12.0, 8.0, 4.0, 0.0])
+        y = np.array([18.0, 17.0, 13.0, 7.0, 3.0, 2.0])
+        perm_x, perm_y = [3, 0, 5, 1, 4, 2], [2, 5, 0, 4, 1, 3]
+        check_against_dense(x[perm_x], y[perm_y])
+        # two blocks with nothing carried between them
+        m = construct_doubly_stochastic(x, y).entries
+        assert not m[:3, 3:].any() and not m[3:, :3].any()
+
+    def test_permutation_with_ties_is_exact(self):
+        x = np.array([3.0, 1.0, 3.0, 2.0, 1.0, 3.0, 0.0])
+        y = x[[4, 0, 6, 2, 1, 3, 5]]
+        check_against_dense(x, y)
+        m = construct_doubly_stochastic(x, y).entries
+        assert np.isin(m, (0.0, 1.0)).all()
+        assert np.array_equal(m.sum(axis=0), np.ones(7))
+        assert np.array_equal(m.sum(axis=1), np.ones(7))
+        assert np.array_equal(m @ x, y)
+
+    def test_long_chain_of_tiny_steps_rescales(self):
+        # Donors near 1, receivers near -0.6, surpluses of t and 2t: every step
+        # matches the row carried into it, so the carried scalar is multiplied
+        # by lam = t / (v_j - v_k) <= 4e-13 / 1.3 at each of the 39 steps.
+        # Without rescaling it would underflow to zero after about 26.
+        n, t = 20, 4e-13
+        donors = 1.0 - 0.01 * np.arange(n)
+        receivers = -0.5 - 0.01 * np.arange(n)
+        x = np.concatenate([donors, receivers])
+        d = np.concatenate([[t], np.full(n - 1, 2 * t), np.full(n - 1, -2 * t), [-t]])
+        y = x - d
+        perm = np.random.default_rng(40).permutation(2 * n)
+        check_against_dense(x[perm], y[perm[::-1]])
