@@ -12,7 +12,7 @@ Four subcommands cover the library surface:
   order-n identity and compare the residual with the quadrature budget.
 
 Reports carry ``"schema": 1``, echo every tolerance and knob, and are
-serialized with sorted keys and 17-significant-digit floats so reruns
+serialized with sorted keys and shortest round-trip floats so reruns
 are byte-identical.  Exit codes: 0 ok, 1 an asserted inequality failed
 beyond its slack, 2 parse/validation trouble, 3 domain errors, 4
 quadrature failure.  ``SHERMAN_BOUNDS_LOG`` selects the stderr log level.
@@ -92,56 +92,18 @@ class RunConfig:
     quad_tol: float = 1e-9
 
 
-def _format_float(x: float) -> str:
-    if not math.isfinite(x):
-        raise ValidationError(f"non-finite value {x!r} in report")
-    return format(x, ".17g")
-
-
-def _emit(value: Any, out: list[str], indent: int) -> None:
-    pad = "  " * indent
-    if isinstance(value, dict):
-        if not value:
-            out.append("{}")
-            return
-        out.append("{\n")
-        keys = sorted(value)
-        for i, key in enumerate(keys):
-            if not isinstance(key, str):
-                raise ValidationError(f"report keys must be strings, got {key!r}")
-            out.append("  " * (indent + 1) + json.dumps(key) + ": ")
-            _emit(value[key], out, indent + 1)
-            out.append(",\n" if i < len(keys) - 1 else "\n")
-        out.append(pad + "}")
-    elif isinstance(value, (list, tuple)):
-        if len(value) == 0:
-            out.append("[]")
-            return
-        out.append("[\n")
-        for i, item in enumerate(value):
-            out.append("  " * (indent + 1))
-            _emit(item, out, indent + 1)
-            out.append(",\n" if i < len(value) - 1 else "\n")
-        out.append("  " * indent + "]")
-    elif isinstance(value, (bool, np.bool_)):
-        out.append("true" if value else "false")
-    elif isinstance(value, (int, np.integer)):
-        out.append(str(int(value)))
-    elif isinstance(value, (float, np.floating)):
-        out.append(_format_float(float(value)))
-    elif isinstance(value, str):
-        out.append(json.dumps(value))
-    elif value is None:
-        out.append("null")
-    else:
-        raise ValidationError(f"cannot serialize value of type {type(value).__name__}")
+def _plain(value: Any) -> Any:
+    if isinstance(value, np.generic):
+        return value.item()
+    raise ValidationError(f"cannot serialize value of type {type(value).__name__}")
 
 
 def canonical_json(value: Any) -> str:
-    """Deterministic rendering: sorted keys, floats at 17 significant digits."""
-    out: list[str] = []
-    _emit(value, out, 0)
-    return "".join(out) + "\n"
+    """Deterministic rendering: sorted keys, shortest round-trip floats."""
+    try:
+        return json.dumps(value, sort_keys=True, indent=2, allow_nan=False, default=_plain) + "\n"
+    except ValueError as exc:  # raised for NaN and the infinities
+        raise ValidationError(f"non-finite value in report: {exc}") from None
 
 
 def _load_json(path: str) -> Any:
@@ -282,8 +244,8 @@ def _run_chain(config: RunConfig):
     result = chain.to_dict()
     result["generated_pair"] = generated
     if generated:
-        result["y"] = [float(v) for v in y]
-        result["a"] = [float(v) for v in a]
+        result["y"] = y.tolist()
+        result["a"] = a.tolist()
     certificates = {
         "modulus": _cert_dict(certificate),
         "majorization": _verification_dict(chain.verification),
@@ -331,9 +293,8 @@ def _run_majorize(config: RunConfig):
         "tol": MAJORIZE_TOL,
     }
     if cert.matrix is not None:
-        entries = cert.matrix.entries
-        result["matrix"] = [[float(v) for v in row] for row in entries]
-        result["construction_residual"] = float(np.abs(y - entries @ x).max())
+        result["matrix"] = cert.matrix.entries.tolist()
+        result["construction_residual"] = cert.residual
     return result, {}, [], cert.holds
 
 
@@ -371,8 +332,9 @@ _HANDLERS = {
 }
 
 
-def _config_echo(config: RunConfig) -> dict:
-    return {
+def _report(config: RunConfig, **fields: Any) -> dict:
+    """A report of ``config.command``: the schema, the config echo and ``fields``."""
+    echo = {
         "input": config.input_path,
         "output": config.output_path,
         "kernel": config.kernel,
@@ -386,6 +348,7 @@ def _config_echo(config: RunConfig) -> dict:
         "majorize_tol": MAJORIZE_TOL,
         "residual_budget_factor": RESIDUAL_BUDGET_FACTOR,
     }
+    return {"schema": 1, "command": config.command, "config": echo, **fields}
 
 
 def run(config: RunConfig) -> tuple[dict, int]:
@@ -395,15 +358,10 @@ def run(config: RunConfig) -> tuple[dict, int]:
     codes and an error report.
     """
     result, certificates, warnings, ok = _HANDLERS[config.command](config)
-    report = {
-        "schema": 1,
-        "command": config.command,
-        "config": _config_echo(config),
-        "certificates": certificates,
-        "result": result,
-        "warnings": warnings,
-        "exit_status": "ok" if ok else "violated",
-    }
+    report = _report(
+        config, certificates=certificates, result=result, warnings=warnings,
+        exit_status="ok" if ok else "violated",
+    )
     return report, EXIT_OK if ok else EXIT_VIOLATED
 
 
@@ -528,14 +486,7 @@ def main(argv: Optional[list[str]] = None) -> int:
 
 def _emit_failure(config: RunConfig, exc: Exception, code: int) -> int:
     logger.error("%s: %s", type(exc).__name__, exc)
-    report = {
-        "schema": 1,
-        "command": config.command,
-        "config": _config_echo(config),
-        "error": str(exc),
-        "error_type": type(exc).__name__,
-        "exit_status": "error",
-    }
+    report = _report(config, error=str(exc), error_type=type(exc).__name__, exit_status="error")
     _write_report(config.output_path, canonical_json(report))
     return code
 

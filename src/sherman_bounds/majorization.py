@@ -50,6 +50,12 @@ def _as_vector(values, label: str) -> np.ndarray:
     return arr
 
 
+def _require_tol(tol: float) -> None:
+    # a NaN or infinite tol would let every comparison against it pass
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and nonnegative, got {tol}")
+
+
 @dataclass(frozen=True, eq=False)
 class WeightedVector:
     """Points with nonnegative weights, optionally pinned to an interval.
@@ -209,11 +215,14 @@ class MajorizationCert:
             sums violate the relation; the full length signals a total-sum
             mismatch.  None when the relation holds.
         matrix: Doubly stochastic witness with ``y = A x`` when requested.
+        residual: ``max_i |y_i - (A x)_i|`` of that witness, as its
+            construction checked it; None without a witness.
     """
 
     relation: str
     witness_k: Optional[int]
     matrix: Optional[StochasticMatrix]
+    residual: Optional[float] = None
 
     @property
     def holds(self) -> bool:
@@ -235,9 +244,11 @@ def majorizes(x, y, tol: float = DEFAULT_TOL, *, with_matrix: bool = False) -> M
             stochastic matrix ``A`` with ``y = A x``.
 
     Raises:
+        ValueError: unless ``tol`` is finite and nonnegative.
         LengthMismatch: if the vectors differ in length.
         ValidationError: if a vector has a NaN or infinite entry or its sum overflows.
     """
+    _require_tol(tol)
     xa = np.asarray(x, dtype=float)
     ya = np.asarray(y, dtype=float)
     if xa.ndim != 1 or ya.ndim != 1 or xa.size != ya.size or xa.size == 0:
@@ -257,8 +268,8 @@ def majorizes(x, y, tol: float = DEFAULT_TOL, *, with_matrix: bool = False) -> M
         return MajorizationCert("fails", int(violated[0]) + 1, None)
     if abs(cx[-1] - cy[-1]) > tol:
         return MajorizationCert("fails", xa.size, None)
-    matrix = _t_transform_witness(xa, ya) if with_matrix else None
-    return MajorizationCert("holds", None, matrix)
+    matrix, residual = _t_transform_witness(xa, ya) if with_matrix else (None, None)
+    return MajorizationCert("holds", None, matrix, residual)
 
 
 def construct_doubly_stochastic(x, y, tol: float = DEFAULT_TOL) -> StochasticMatrix:
@@ -285,6 +296,7 @@ def construct_doubly_stochastic(x, y, tol: float = DEFAULT_TOL) -> StochasticMat
         ``max_i |y_i - (A x)_i| <= 1e-10 * max(1, max_i |x_i|)``.
 
     Raises:
+        ValueError: unless ``tol`` is finite and nonnegative.
         ValidationError: if either vector has a NaN or infinite entry.
         NotMajorized: if the pair fails the majorization check, or if the
             inputs are so far from exact majorization that the residual
@@ -295,11 +307,11 @@ def construct_doubly_stochastic(x, y, tol: float = DEFAULT_TOL) -> StochasticMat
     cert = majorizes(xa, ya, tol)
     if not cert.holds:
         raise NotMajorized(f"pair fails majorization at prefix {cert.witness_k}")
-    return _t_transform_witness(xa, ya)
+    return _t_transform_witness(xa, ya)[0]
 
 
-def _t_transform_witness(xa: np.ndarray, ya: np.ndarray) -> StochasticMatrix:
-    """The construction of :func:`construct_doubly_stochastic` on a checked pair."""
+def _t_transform_witness(xa: np.ndarray, ya: np.ndarray) -> tuple[StochasticMatrix, float]:
+    """The witness of :func:`construct_doubly_stochastic` on a checked pair, with its residual."""
     m = xa.size
     ordx = np.argsort(-xa, kind="stable")
     ordy = np.argsort(-ya, kind="stable")
@@ -369,7 +381,7 @@ def _t_transform_witness(xa: np.ndarray, ya: np.ndarray) -> StochasticMatrix:
             f"construction residual {residual} exceeds {bound}; "
             "pair is not majorized to working precision"
         )
-    return StochasticMatrix(matrix, "doubly")
+    return StochasticMatrix(matrix, "doubly"), residual
 
 
 @dataclass(frozen=True)
@@ -399,9 +411,11 @@ def verify_weighted_majorization(
     ``y = A x`` within ``tol`` in the max norm.
 
     Raises:
+        ValueError: unless ``tol`` is finite and nonnegative.
         ValidationError: if ``matrix`` is only column-stochastic.
         DimensionMismatch: if the shape does not match the vectors.
     """
+    _require_tol(tol)
     if matrix.kind == "column":
         raise ValidationError("weighted majorization needs a row-stochastic witness")
     rows, cols = matrix.shape

@@ -195,6 +195,16 @@ class TestShermanStrong:
         with pytest.raises(MajorizationNotVerified):
             sherman_strong(x, y, SQUARE01, matrix=StochasticMatrix([[0.5, 0.5]], "row"))
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf])
+    def test_non_finite_tol_rejected(self, tol):
+        x = WeightedVector([0.0, 1.0], [0.5, 0.5])
+        y = WeightedVector([0.9], [1.0])  # the witness misses y by 0.4
+        matrix = StochasticMatrix([[0.5, 0.5]], "row")
+        with pytest.raises(ValueError, match="tol"):
+            sherman_strong(x, y, SQUARE01, matrix=matrix, tol=tol)
+        with pytest.raises(ValueError, match="tol"):
+            full_chain(x, y, matrix, SQUARE01, tol=tol)
+
     def test_square_at_full_modulus_is_tight(self):
         rng = np.random.default_rng(23)
         for _ in range(100):

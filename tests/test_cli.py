@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: reports, determinism, and exit codes."""
 
 import json
+import logging
 import math
 import os
 import shutil
@@ -22,10 +23,13 @@ from sherman_bounds import (
     function_from_name,
     generate_weighted_pair,
     kl_divergence,
+    majorizes,
     DistributionPair,
+    ValidationError,
 )
 from sherman_bounds import cli
 from sherman_bounds.cli import canonical_json, main
+from helpers import random_doubly_stochastic
 
 PACKAGE_ROOT = str(Path(sherman_bounds.__file__).resolve().parent.parent)
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -49,7 +53,7 @@ def run_cli(capsys, *argv) -> tuple[int, dict]:
 
 
 class TestCanonicalJson:
-    def test_sorted_keys_and_17_digit_floats(self):
+    def test_sorted_keys_and_shortest_round_trip_floats(self):
         text = canonical_json({"b": 0.1, "a": [1, True, None, "x"]})
         assert text == (
             '{\n'
@@ -59,7 +63,7 @@ class TestCanonicalJson:
             '    null,\n'
             '    "x"\n'
             '  ],\n'
-            '  "b": 0.10000000000000001\n'
+            '  "b": 0.1\n'
             '}\n'
         )
 
@@ -68,19 +72,23 @@ class TestCanonicalJson:
             rendered = canonical_json({"v": value})
             assert json.loads(rendered)["v"] == value
 
+    def test_integral_floats_stay_floats(self):
+        parsed = json.loads(canonical_json({"neg_zero": -0.0, "three": 3.0}))
+        assert type(parsed["neg_zero"]) is float and type(parsed["three"]) is float
+        assert math.copysign(1.0, parsed["neg_zero"]) == -1.0
+        assert parsed["three"] == 3.0
+
     def test_empty_containers(self):
         assert canonical_json({}) == "{}\n"
         assert canonical_json([]) == "[]\n"
 
     def test_rejects_non_finite_and_unknown_types(self):
-        from sherman_bounds import ValidationError
-
-        with pytest.raises(ValidationError):
-            canonical_json({"v": math.inf})
-        with pytest.raises(ValidationError):
-            canonical_json({"v": object()})
-        with pytest.raises(ValidationError):
-            canonical_json({1: "non-string key"})
+        for value in (math.inf, -math.inf, math.nan, np.float32("nan"), [np.float64("inf")]):
+            with pytest.raises(ValidationError, match="non-finite value"):
+                canonical_json({"v": value})
+        for value in (object(), np.zeros(2)):
+            with pytest.raises(ValidationError, match="cannot serialize"):
+                canonical_json({"v": value})
 
     def test_numpy_scalars_serialize(self):
         text = canonical_json({"f": np.float64(0.5), "i": np.int64(3), "b": np.bool_(True)})
@@ -146,25 +154,6 @@ class TestChainCommand:
         assert report["result"]["generated_pair"] is False
         assert "y" not in report["result"]
 
-    def test_byte_identical_reruns_and_output_file(self, tmp_path, capsys):
-        path = write_json(tmp_path / "chain.json", CHAIN_INPUT)
-        argv = ["chain", "--input", path, "--kernel", "exp", "--interval", "0,1"]
-        assert main(argv) == 0
-        first = capsys.readouterr().out
-        assert main(argv) == 0
-        second = capsys.readouterr().out
-        assert first == second
-
-        out_path = tmp_path / "report.json"
-        file_argv = argv + ["--output", str(out_path)]
-        assert main(file_argv) == 0
-        assert capsys.readouterr().out == ""
-        file_first = out_path.read_bytes()
-        assert main(file_argv) == 0
-        assert out_path.read_bytes() == file_first
-        # file and stdout reports differ only in the echoed output path
-        assert json.loads(file_first)["result"] == json.loads(first)["result"]
-
     def test_degenerate_hull_needs_interval(self, tmp_path, capsys):
         data = {"x": [0.5, 0.5], "b": [1.0], "A": [[0.5, 0.5]]}
         path = write_json(tmp_path / "degenerate.json", data)
@@ -184,6 +173,18 @@ class TestMajorizeCommand:
         matrix = np.array(report["result"]["matrix"])
         assert matrix.shape == (3, 3)
         assert report["result"]["construction_residual"] <= 1e-10
+
+    def test_report_carries_the_witness_and_its_residual(self, tmp_path, capsys):
+        rng = np.random.default_rng(5)
+        x = rng.uniform(0.0, 1.0, 16)
+        y = random_doubly_stochastic(rng, 16) @ x
+        path = write_json(tmp_path / "m.json", {"x": x.tolist(), "y": y.tolist()})
+        code, report = run_cli(capsys, "majorize", "--input", path)
+        cert = majorizes(x, y, cli.MAJORIZE_TOL, with_matrix=True)
+        assert code == 0 and cert.holds
+        # repr floats round-trip, so == here is equality bit for bit
+        assert report["result"]["matrix"] == cert.matrix.entries.tolist()
+        assert report["result"]["construction_residual"].hex() == cert.residual.hex()
 
     def test_failure_exits_one(self, tmp_path, capsys):
         path = write_json(tmp_path / "m.json", {"x": [2.0, 2.0, 2.0], "y": [3.0, 2.0, 1.0]})
@@ -302,6 +303,11 @@ class TestDivergenceCommand:
         code, report = run_cli(capsys, "divergence", "--input", str(empty), "--kernel", "kl")
         assert code == 2 and "no data rows" in report["error"]
 
+        absent = str(tmp_path / "absent.csv")
+        code, report = run_cli(capsys, "divergence", "--input", absent, "--kernel", "kl")
+        assert code == 2 and report["error_type"] == "ParseError"
+        assert report["error"].startswith(f"cannot read {absent}")
+
 
 class TestVerifyIdentityCommand:
     INSTANCE = {"x": [0.0, 1.0], "a": [0.5, 0.5], "y": [0.5], "b": [1.0]}
@@ -353,6 +359,39 @@ class TestVerifyIdentityCommand:
         assert "roundoff error is detected" in report["error"]
 
 
+#: One input per subcommand: file name, file text and the flags after --input.
+REPORT_CASES = {
+    "chain": ("c.json", json.dumps(CHAIN_INPUT), ["--kernel", "exp", "--interval", "0,1"]),
+    "divergence": ("d.csv", "p,q\n0.5,0.4\n0.3,0.35\n0.2,0.25\n", ["--kernel", "kl"]),
+    "majorize": ("m.json", json.dumps({"x": [3.0, 2.0, 1.0], "y": [2.0, 2.0, 2.0]}), []),
+    "verify-identity": ("v.json", json.dumps(TestVerifyIdentityCommand.INSTANCE),
+                        ["--kernel", "exp", "--interval", "0,1", "--order", "3"]),
+}
+
+
+class TestReports:
+    @pytest.mark.parametrize("command", sorted(REPORT_CASES))
+    def test_byte_identical_reruns_and_output_file(self, tmp_path, capsys, command):
+        name, text, flags = REPORT_CASES[command]
+        (tmp_path / name).write_text(text)
+        argv = [command, "--input", str(tmp_path / name), *flags]
+        assert main(argv) == 0
+        first = capsys.readouterr().out
+        assert main(argv) == 0
+        second = capsys.readouterr().out
+        assert first == second
+
+        out_path = tmp_path / "report.json"
+        file_argv = argv + ["--output", str(out_path)]
+        assert main(file_argv) == 0
+        assert capsys.readouterr().out == ""
+        file_first = out_path.read_bytes()
+        assert main(file_argv) == 0
+        assert out_path.read_bytes() == file_first
+        # file and stdout reports differ only in the echoed output path
+        assert json.loads(file_first)["result"] == json.loads(first)["result"]
+
+
 class TestErrorExits:
     def test_negative_weight(self, tmp_path, capsys):
         data = dict(CHAIN_INPUT, b=[0.7, -1.3])
@@ -372,6 +411,25 @@ class TestErrorExits:
         code, report = run_cli(capsys, "chain", "--input", str(path), "--kernel", "exp")
         assert code == 2
         assert "2:1" in report["error"]
+
+    @pytest.mark.parametrize("matrix,message", [
+        ([], "nonempty array of rows"),
+        ({"0": [1.0]}, "nonempty array of rows"),
+        ([[0.5, 0.5], []], "rows must be nonempty arrays"),
+        ([[0.5, 0.5], 1.0], "rows must be nonempty arrays"),
+        ([[0.6, 0.3, 0.1], [0.5, 0.5]], "inconsistent lengths"),
+    ])
+    def test_malformed_matrix(self, tmp_path, capsys, matrix, message):
+        path = write_json(tmp_path / "c.json", dict(CHAIN_INPUT, A=matrix))
+        code, report = run_cli(capsys, "chain", "--input", path, "--kernel", "exp")
+        assert code == 2 and report["error_type"] == "ParseError"
+        assert message in report["error"]
+
+    def test_input_that_is_not_an_object(self, tmp_path, capsys):
+        path = write_json(tmp_path / "m.json", [[3.0, 2.0], [2.5, 2.5]])
+        code, report = run_cli(capsys, "majorize", "--input", path)
+        assert code == 2 and report["error_type"] == "ParseError"
+        assert "must be a JSON object" in report["error"]
 
     def test_missing_keys(self, tmp_path, capsys):
         path = write_json(tmp_path / "c.json", {"x": [0.1, 0.2]})
@@ -453,6 +511,16 @@ class TestErrorExits:
         assert code == 2 and report["error_type"] == "ValidationError"
         assert "non-finite ratio" in report["error"]
 
+    def test_blank_csv_lines_are_skipped(self, tmp_path, capsys):
+        dense = tmp_path / "dense.csv"
+        dense.write_text("p,q\n0.5,0.2\n0.5,0.8\n")
+        sparse = tmp_path / "sparse.csv"
+        sparse.write_text("p,q\n\n0.5,0.2\n , \n0.5,0.8\n\n")
+        code_d, report_d = run_cli(capsys, "divergence", "--input", str(dense), "--kernel", "kl")
+        code_s, report_s = run_cli(capsys, "divergence", "--input", str(sparse), "--kernel", "kl")
+        assert code_d == code_s == 0
+        assert report_s["result"] == report_d["result"]
+
     @pytest.mark.parametrize("alpha", ["nan", "inf", "-2"])
     def test_alpha_must_be_finite_and_positive(self, tmp_path, alpha):
         argv = ["divergence", "--input", str(tmp_path / "d.json"), "--kernel", "renyi"]
@@ -468,6 +536,11 @@ class TestErrorExits:
             ["chain", "--input", path, "--modulus", "-0.5"],
             ["verify-identity", "--input", path, "--order", "0"],
             ["verify-identity", "--input", path, "--quad-tol", "0"],
+            # values that are not numbers
+            ["chain", "--input", path, "--interval", "0,one"],
+            ["chain", "--input", path, "--modulus", "half"],
+            ["divergence", "--input", path, "--kernel", "renyi", "--alpha", "two"],
+            ["verify-identity", "--input", path, "--order", "2.5"],
             ["chain", "--input", path, "--grid", "1"],  # the flag is gone
             # flags a subcommand would ignore are not registered on it
             ["chain", "--input", path, "--order", "3"],
@@ -478,6 +551,25 @@ class TestErrorExits:
             with pytest.raises(SystemExit) as excinfo:
                 main(argv)
             assert excinfo.value.code == 2
+
+    def test_explicit_auto_modulus(self, tmp_path, capsys):
+        path = write_json(tmp_path / "c.json", CHAIN_INPUT)
+        argv = ["chain", "--input", path, "--kernel", "exp", "--interval", "0,1"]
+        code_auto, report_auto = run_cli(capsys, *argv, "--modulus", " AUTO ")
+        code_default, report_default = run_cli(capsys, *argv)
+        assert code_auto == code_default == 0
+        assert report_auto == report_default
+        assert report_auto["config"]["modulus"] == "auto"
+
+    @pytest.mark.parametrize("level", ["CHATTY", "basic_format"])
+    def test_unknown_log_level_falls_back_to_warning(self, tmp_path, capsys, monkeypatch, level):
+        # BASIC_FORMAT is an attribute of logging, but a string, not a level
+        monkeypatch.setenv("SHERMAN_BOUNDS_LOG", level)
+        cli.logger.setLevel(logging.DEBUG)
+        path = write_json(tmp_path / "c.json", CHAIN_INPUT)
+        code, _ = run_cli(capsys, "chain", "--input", path, "--kernel", "exp")
+        assert code == 0
+        assert cli.logger.level == logging.WARNING
 
 
 class TestInstalledEntryPoint:

@@ -284,6 +284,8 @@ class TestSampledConvexity:
             is_n_strongly_convex(SQUARE01, 2, -0.5)
         with pytest.raises(ValueError):
             is_n_convex(SQUARE01, 0)
+        with pytest.raises(ValueError, match="sample_count"):
+            is_n_strongly_convex(SQUARE01, 2, 1.0, sample_count=0)
 
 
 class TestShiftToConvex:
@@ -325,6 +327,10 @@ class TestShiftToConvex:
     def test_rejects_negative_modulus(self):
         with pytest.raises(ValueError):
             shift_to_convex(SQUARE01, 2, -1.0)
+
+    def test_rejects_order_zero(self):
+        with pytest.raises(ValueError, match="order"):
+            shift_to_convex(SQUARE01, 0, 1.0)
 
 
 class TestCatalog:

@@ -497,6 +497,11 @@ class TestDifferenceIdentity:
         assert report.integral_term == 0.0
         assert report.residual == 0.0
 
+    def test_order_must_be_positive(self):
+        v = WeightedVector([0.2, 0.7], [1.0, 0.5])
+        with pytest.raises(ValueError, match="order"):
+            sherman_difference_identity(v, v, EXP01, 0)
+
     def test_low_degree_polynomial_has_no_integral(self):
         # f''' = 0, so the whole difference sits in the boundary terms
         spec = function_from_name("square", (0.0, 1.0))

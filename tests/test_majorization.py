@@ -45,6 +45,8 @@ class TestWeightedVector:
             WeightedVector([], [])
         with pytest.raises(ValidationError):
             WeightedVector([float("nan")], [1.0])
+        with pytest.raises(ValidationError, match="one-dimensional"):
+            WeightedVector([[1.0, 2.0]], [[0.5, 0.5]])
         with pytest.raises(PointOutOfInterval):
             WeightedVector([5.0], [1.0], (0.0, 1.0))
 
@@ -87,6 +89,10 @@ class TestStochasticMatrix:
     def test_rejects_bad_kind(self):
         with pytest.raises(ValidationError):
             StochasticMatrix([[1.0]], "diagonal")
+
+    def test_rejects_one_dimensional_entries(self):
+        with pytest.raises(ValidationError, match="two-dimensional"):
+            StochasticMatrix([0.5, 0.5], "row")
 
 
 def _stochastic(rng, shape, kind):
@@ -243,6 +249,14 @@ class TestMajorizes:
         assert cert.relation == "fails"
         assert cert.witness_k == 2
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-9])
+    def test_rejects_non_finite_or_negative_tol(self, tol):
+        # every comparison with a NaN or infinite tol passes, so "holds" would be reported
+        with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
+            majorizes([0.0, 0.0], [1.0, -1.0], tol)
+        with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
+            construct_doubly_stochastic([0.0, 0.0], [1.0, -1.0], tol)
+
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
             majorizes([1.0, 2.0], [1.0])
@@ -381,6 +395,17 @@ class TestConstruction:
         assert cert.matrix.kind == "doubly"
         absent = majorizes([3.0, 2.0, 1.0], [2.0, 2.0, 2.0])
         assert absent.matrix is None
+        assert absent.residual is None
+
+    def test_residual_is_the_witness_residual(self):
+        rng = np.random.default_rng(12)
+        for m in (1, 2, 7, 40):
+            x = rng.uniform(-3.0, 3.0, m)
+            y = random_doubly_stochastic(rng, m) @ x
+            cert = majorizes(x, y, with_matrix=True)
+            expected = float(np.abs(y - cert.matrix.entries @ x).max())
+            assert cert.residual == expected
+            assert cert.residual <= 1e-10 * max(1.0, np.abs(x).max())
 
 
 class TestWeightedMajorization:
@@ -444,6 +469,14 @@ class TestWeightedMajorization:
         assert not result.passed
         assert result.point_residual > 0.3
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-9])
+    def test_rejects_non_finite_or_negative_tol(self, tol):
+        xv = WeightedVector([0.0, 1.0], [0.5, 0.5])
+        yv = WeightedVector([0.9], [1.0])  # point residual 0.4
+        matrix = StochasticMatrix([[0.5, 0.5]], "row")
+        with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
+            verify_weighted_majorization(xv, yv, matrix, tol)
+
     def test_dimension_checks(self):
         xv = WeightedVector([0.0, 1.0], [0.5, 0.5])
         yv = WeightedVector([0.5], [1.0])
@@ -474,6 +507,8 @@ class TestWeightedMajorization:
         col = StochasticMatrix(np.ones((2, 1)) * 0.5, "column")
         with pytest.raises(ValidationError):
             generate_weighted_pair([1.0], [1.0, 1.0], col)
+        with pytest.raises(ValidationError, match="nonnegative"):
+            generate_weighted_pair([1.0, 2.0], [-1.0], StochasticMatrix([[0.5, 0.5]], "row"))
         with pytest.raises(DimensionMismatch):
             generate_weighted_pair(
                 [1.0, 2.0, 3.0], [1.0], StochasticMatrix([[0.5, 0.5]], "row")
