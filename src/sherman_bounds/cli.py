@@ -452,9 +452,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _configure_logging() -> None:
-    name = os.environ.get("SHERMAN_BOUNDS_LOG", "WARNING").upper()
-    level = getattr(logging, name, None)
+    name = os.environ.get("SHERMAN_BOUNDS_LOG", "WARNING")
+    level = getattr(logging, name.upper(), None)
     if not isinstance(level, int):
+        sys.stderr.write(f"SHERMAN_BOUNDS_LOG={name!r} is not a log level; using WARNING\n")
         level = logging.WARNING
     logging.basicConfig(stream=sys.stderr, format="%(levelname)s %(name)s: %(message)s")
     logger.setLevel(level)

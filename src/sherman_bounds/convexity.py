@@ -16,15 +16,19 @@ defined on.  On top of that this module provides
   into a plain n-convex one.
 
 A named catalog of common functions (``square``, ``exp``, ``xlogx``,
-``neg_log``, ``linear``, ``pow:a``) supports the command line.
+``neg_log``, ``linear``, ``pow:a``) supports the command line.  Each
+entry, like each divergence generator of :mod:`.divergence`, is declared
+once in a table: its ``f``, any hand-written low derivative, and the law
+``s*(t + shift)**e`` or ``exp`` that gives every higher order.  One
+builder turns an entry into a spec with exactly the requested derivatives.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -451,16 +455,6 @@ def check_derivative_consistency(
     return True
 
 
-def _power_spec(name: str, exponent: float, interval, order: int) -> FunctionSpec:
-    is_integer = float(exponent).is_integer() and exponent >= 0
-    if not is_integer and float(interval[0]) <= 0.0:
-        raise ValidationError(
-            f"{name} with non-integer exponent {exponent} needs a positive interval"
-        )
-    terms = _power_terms(1.0, exponent, order + 1)
-    return FunctionSpec(name, terms[0], tuple(terms[1:]), tuple(interval))
-
-
 def constant(value: float) -> Evaluator:
     """Evaluator of the constant ``value``, returning arrays for arrays."""
 
@@ -492,35 +486,45 @@ def _power_terms(
     return terms
 
 
-def _exp_spec(interval, order: int) -> FunctionSpec:
-    derivs = tuple(np.exp for _ in range(order))
-    return FunctionSpec(name="exp", evaluator=np.exp, derivatives=derivs, interval=tuple(interval))
+class _CatalogEntry(NamedTuple):
+    """A catalog function: ``f`` (None: the law's order-0 term), hand-written
+    low derivatives, and the law whose term of order ``k - lag`` is every
+    higher derivative ``k``: ``(scale, exponent, shift)`` as in
+    :func:`_power_terms`, ``"exp"``, or None for a function without derivatives.
+    """
+
+    f: Optional[Evaluator]
+    law: object
+    low: tuple[Evaluator, ...] = ()
+    lag: int = 0
 
 
-def _xlogx_spec(interval, order: int) -> FunctionSpec:
-    if float(interval[0]) <= 0.0:
-        raise ValidationError("xlogx needs a positive interval")
+def _catalog_spec(name: str, entry: _CatalogEntry, interval, order: int) -> FunctionSpec:
+    """The spec of a catalog entry with exactly ``order`` derivatives (none without a law)."""
+    if order < 0:
+        raise ValueError(f"order must be >= 0, got {order}")
+    count = order + 1 - entry.lag
+    if entry.law is None:
+        terms = []
+    elif entry.law == "exp":
+        terms = [np.exp] * count
+    else:
+        scale, exponent, shift = entry.law
+        terms = _power_terms(scale, exponent, count, shift)
+    derivs = entry.low[:order] + tuple(terms[len(entry.low) + 1 - entry.lag:])
+    return FunctionSpec(name, entry.f or terms[0], derivs, tuple(interval))
 
-    def ev(t: float) -> float:
-        return t * np.log(t)
 
-    def d1(t: float) -> float:
-        return np.log(t) + 1.0
-
+#: The named functions; ``pow:a`` builds its entry from the exponent.
+_FUNCTIONS = {
+    "square": _CatalogEntry(lambda t: t * t, (1.0, 2.0, -0.0)),  # t*t: the c=1 shift cancels bitwise
+    "linear": _CatalogEntry(None, (1.0, 1.0, -0.0)),
+    "exp": _CatalogEntry(np.exp, "exp"),
     # orders >= 2 differentiate 1/t
-    derivs = [d1] + _power_terms(1.0, -1.0, order - 1)
-    return FunctionSpec(name="xlogx", evaluator=ev, derivatives=tuple(derivs), interval=tuple(interval))
-
-
-def _neg_log_spec(interval, order: int) -> FunctionSpec:
-    if float(interval[0]) <= 0.0:
-        raise ValidationError("neg_log needs a positive interval")
-
-    def ev(t: float) -> float:
-        return -np.log(t)
-
-    derivs = tuple(_power_terms(-1.0, -1.0, order))  # orders >= 1 differentiate -1/t
-    return FunctionSpec(name="neg_log", evaluator=ev, derivatives=derivs, interval=tuple(interval))
+    "xlogx": _CatalogEntry(lambda t: t * np.log(t), (1.0, -1.0, -0.0), (lambda t: np.log(t) + 1.0,), 2),
+    # orders >= 1 differentiate -1/t
+    "neg_log": _CatalogEntry(lambda t: -np.log(t), (-1.0, -1.0, -0.0), lag=1),
+}
 
 
 def function_from_name(
@@ -529,31 +533,32 @@ def function_from_name(
     """Build a catalog function by name on the given interval.
 
     Known names: ``square``, ``exp``, ``xlogx``, ``neg_log``, ``linear``,
-    and ``pow:a`` for a float exponent ``a``.  Derivatives are provided
-    up to ``order``.
+    and ``pow:a`` for a finite float exponent ``a``.  Derivatives are
+    provided up to ``order``.
 
     Raises:
-        ValidationError: on an unknown name or an interval the function
-            is not defined on.
+        ValidationError: on an unknown name, a non-finite exponent or an
+            interval the function is not defined on.
+        ValueError: on a negative ``order``.
     """
     key = name.strip().lower()
-    if key == "square":
-        # keep t*t so the c=1 shift cancels bitwise
-        return replace(_power_spec("square", 2.0, interval, order), evaluator=lambda t: t * t)
-    if key == "linear":
-        return _power_spec("linear", 1.0, interval, order)
-    if key == "exp":
-        return _exp_spec(interval, order)
-    if key == "xlogx":
-        return _xlogx_spec(interval, order)
-    if key == "neg_log":
-        return _neg_log_spec(interval, order)
+    entry = _FUNCTIONS.get(key)
     if key.startswith("pow:"):
         try:
             exponent = float(key.split(":", 1)[1])
         except ValueError as exc:
             raise ValidationError(f"bad exponent in function name {name!r}") from exc
-        return _power_spec(key, exponent, interval, order)
-    raise ValidationError(
-        f"unknown function {name!r}; known: square, exp, xlogx, neg_log, linear, pow:<a>"
-    )
+        if not math.isfinite(exponent):
+            raise ValidationError(f"exponent {exponent} of function name {name!r} is not finite")
+        if not (exponent.is_integer() and exponent >= 0) and float(interval[0]) <= 0.0:
+            raise ValidationError(
+                f"{key} with non-integer exponent {exponent} needs a positive interval"
+            )
+        entry = _CatalogEntry(None, (1.0, exponent, -0.0))
+    elif entry is None:
+        raise ValidationError(
+            f"unknown function {name!r}; known: square, exp, xlogx, neg_log, linear, pow:<a>"
+        )
+    elif key in ("xlogx", "neg_log") and float(interval[0]) <= 0.0:
+        raise ValidationError(f"{key} needs a positive interval")
+    return _catalog_spec(key, entry, interval, order)

@@ -19,9 +19,11 @@ re-checked.  The chain yields
 
 with ``lower_ck <= lower_strong <= value <= upper_converse``.  The
 single-row aggregation recovers the classical total-mass lower bound.
-Every link comes from the chain's own evaluators in :mod:`.bounds`, and
-the generators' power-law derivatives from the catalog's power rule.
-Shannon entropy and Kullback-Leibler divergence are provided directly.
+Every link comes from the chain's own evaluators in :mod:`.bounds`.  Each
+generator is declared once, as an entry of the catalog table form of
+:mod:`.convexity`, and built by its builder; ``kl`` and ``renyi`` reuse
+the catalog functions ``xlogx`` and ``pow:a``.  Shannon entropy and
+Kullback-Leibler divergence are provided directly.
 """
 
 from __future__ import annotations
@@ -34,10 +36,12 @@ import numpy as np
 
 from .bounds import _chain_links, _finite, _SideSums
 from .convexity import (
+    CATALOG_ORDER,
     FunctionSpec,
     ModulusCertificate,
+    _CatalogEntry,
+    _catalog_spec,
     _first_outside,
-    _power_terms,
     function_from_name,
     resolve_modulus,
 )
@@ -165,67 +169,27 @@ class DistributionPair:
         return sums
 
 
-def _build_generator(key: str, interval: tuple[float, float], order: int = 6):
-    """Return (spec, convexity_class) for a catalog kernel key on a positive interval."""
-    if key == "kl":
-        return function_from_name("xlogx", interval, order), _STRONGLY_CONVEX
-    if key == "chi_square":
+def _hellinger(t: float) -> float:
+    s = np.sqrt(t) - 1.0
+    return 0.5 * s * s
 
-        def chi(t: float) -> float:
-            return (t - 1.0) * (t - 1.0)  # a product, as pow(u, 2.0) may differ from u*u
 
-        derivs = _power_terms(1.0, 2.0, order + 1, shift=-1.0)[1:]
-        spec = FunctionSpec("chi_square", chi, tuple(derivs), interval)
-        return spec, _STRONGLY_CONVEX
-    if key == "hellinger":
-
-        def hel(t: float) -> float:
-            s = np.sqrt(t) - 1.0
-            return 0.5 * s * s
-
-        def hel1(t: float) -> float:
-            return 0.5 * (1.0 - 1.0 / np.sqrt(t))
-
-        derivs = [hel1] + _power_terms(-1.0, 0.5, order + 1)[2:]  # orders >= 2 of -sqrt(t)
-        spec = FunctionSpec("hellinger", hel, tuple(derivs), interval)
-        return spec, _STRONGLY_CONVEX
-    if key == "bhattacharya":
-
-        def bha(t: float) -> float:
-            return -np.sqrt(t)
-
-        derivs = _power_terms(-1.0, 0.5, order + 1)[1:]
-        spec = FunctionSpec("bhattacharya", bha, tuple(derivs), interval)
-        return spec, _STRONGLY_CONVEX
-    if key == "triangular":
-
-        def tri(t: float) -> float:
-            return (t - 1.0) ** 2 / (1.0 + t)
-
-        def tri1(t: float) -> float:
-            return 1.0 - 4.0 / (1.0 + t) ** 2
-
-        # orders >= 2 differentiate the 4/(1+t) term only
-        derivs = [tri1] + _power_terms(4.0, -1.0, order + 1, shift=1.0)[2:]
-        spec = FunctionSpec("triangular", tri, tuple(derivs), interval)
-        return spec, _STRONGLY_CONVEX
-    if key == "variational":
-
-        def var(t: float) -> float:
-            return abs(t - 1.0)
-
-        spec = FunctionSpec("variational", var, (), interval)
-        return spec, _CONVEX_ONLY
-    if key == "harmonic":
-
-        def har(t: float) -> float:
-            return 2.0 * t / (1.0 + t)
-
-        # 2t/(1+t) = 2 - 2/(1+t)
-        derivs = _power_terms(-2.0, -1.0, order + 1, shift=1.0)[1:]
-        spec = FunctionSpec("harmonic", har, tuple(derivs), interval)
-        return spec, _NONCONVEX
-    raise ValidationError(f"unknown divergence kernel {key!r}")
+#: Every generator but ``kl`` and ``renyi``, which reuse ``xlogx`` and ``pow:a``,
+#: with its convexity class, in the order of :func:`catalog`.
+_GENERATORS = {
+    # orders >= 2 of -sqrt(t)
+    "hellinger": (_CatalogEntry(_hellinger, (-1.0, 0.5, -0.0),
+                                (lambda t: 0.5 * (1.0 - 1.0 / np.sqrt(t)),)), _STRONGLY_CONVEX),
+    "variational": (_CatalogEntry(lambda t: abs(t - 1.0), None), _CONVEX_ONLY),
+    # 2t/(1+t) = 2 - 2/(1+t)
+    "harmonic": (_CatalogEntry(lambda t: 2.0 * t / (1.0 + t), (-2.0, -1.0, 1.0)), _NONCONVEX),
+    "bhattacharya": (_CatalogEntry(lambda t: -np.sqrt(t), (-1.0, 0.5, -0.0)), _STRONGLY_CONVEX),
+    # orders >= 2 differentiate the 4/(1+t) term only
+    "triangular": (_CatalogEntry(lambda t: (t - 1.0) ** 2 / (1.0 + t), (4.0, -1.0, 1.0),
+                                 (lambda t: 1.0 - 4.0 / (1.0 + t) ** 2,)), _STRONGLY_CONVEX),
+    # (t-1)*(t-1): a product, as pow(u, 2.0) may differ from u*u
+    "chi_square": (_CatalogEntry(lambda t: (t - 1.0) * (t - 1.0), (1.0, 2.0, -1.0)), _STRONGLY_CONVEX),
+}
 
 
 def get_kernel(
@@ -244,7 +208,8 @@ def get_kernel(
 
     Raises:
         ValidationError: on an unknown name, a nonpositive interval, a
-            Renyi exponent not above one, or an ``alpha`` it would ignore.
+            Renyi exponent not above one or not finite, or an ``alpha`` it
+            would ignore.
         ModulusNotCertified: if grid certification unexpectedly fails.
     """
     key = name.strip().lower().replace("-", "_")
@@ -268,13 +233,20 @@ def get_kernel(
             raise ValidationError("renyi kernel needs an exponent alpha > 1")
         if not alpha > 1.0:
             raise ValidationError(f"renyi exponent must exceed 1, got {alpha}")
+        if alpha == math.inf:
+            raise ValidationError(f"renyi exponent must be finite, got {alpha}")
         key = f"renyi:{alpha:g}"
         spec = replace(function_from_name(f"pow:{alpha}", interval), name=key)
         convexity_class = _STRONGLY_CONVEX
     elif alpha is not None:
         raise ValidationError(f"alpha applies to the renyi kernel only, not {name!r}")
+    elif key == "kl":
+        spec, convexity_class = function_from_name("xlogx", interval), _STRONGLY_CONVEX
+    elif key in _GENERATORS:
+        entry, convexity_class = _GENERATORS[key]
+        spec = _catalog_spec(key, entry, interval, CATALOG_ORDER)
     else:
-        spec, convexity_class = _build_generator(key, interval)
+        raise ValidationError(f"unknown divergence kernel {key!r}")
 
     certificate = None
     if convexity_class == _STRONGLY_CONVEX:
@@ -291,17 +263,7 @@ def get_kernel(
 
 def catalog(interval: Optional[tuple[float, float]] = None) -> list[DivergenceKernel]:
     """All catalog kernels on one ratio interval (Renyi with alpha = 2)."""
-    names = [
-        "kl",
-        "hellinger",
-        "variational",
-        "harmonic",
-        "bhattacharya",
-        "triangular",
-        "chi_square",
-        "renyi:2",
-    ]
-    return [get_kernel(name, interval) for name in names]
+    return [get_kernel(name, interval) for name in ("kl", *_GENERATORS, "renyi:2")]
 
 
 def _require_ratios_inside(values: np.ndarray, kernel: DivergenceKernel) -> None:

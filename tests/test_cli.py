@@ -449,6 +449,20 @@ class TestErrorExits:
         )
         assert code == 2 and report["error_type"] == "ValidationError"
 
+    @pytest.mark.parametrize("kernel", ["pow:inf", "pow:nan", "pow:1e400"])
+    def test_non_finite_function_exponent(self, tmp_path, capsys, kernel):
+        path = write_json(tmp_path / "c.json", CHAIN_INPUT)
+        code, report = run_cli(capsys, "chain", "--input", path, "--kernel", kernel)
+        assert code == 2 and report["error_type"] == "ValidationError"
+        assert "is not finite" in report["error"]
+
+    @pytest.mark.parametrize("kernel", ["renyi:inf", "renyi:1e400"])
+    def test_non_finite_renyi_exponent(self, tmp_path, capsys, kernel):
+        path = write_json(tmp_path / "d.json", {"p": [0.5, 0.5], "q": [0.2, 0.8]})
+        code, report = run_cli(capsys, "divergence", "--input", path, "--kernel", kernel)
+        assert code == 2 and report["error_type"] == "ValidationError"
+        assert "must be finite" in report["error"]
+
     def test_kernel_required(self, tmp_path, capsys):
         path = write_json(tmp_path / "c.json", CHAIN_INPUT)
         code, report = run_cli(capsys, "chain", "--input", path, "--interval", "0,1")
@@ -567,9 +581,12 @@ class TestErrorExits:
         monkeypatch.setenv("SHERMAN_BOUNDS_LOG", level)
         cli.logger.setLevel(logging.DEBUG)
         path = write_json(tmp_path / "c.json", CHAIN_INPUT)
-        code, _ = run_cli(capsys, "chain", "--input", path, "--kernel", "exp")
+        code = main(["chain", "--input", path, "--kernel", "exp"])
+        captured = capsys.readouterr()
+        json.loads(captured.out)
         assert code == 0
         assert cli.logger.level == logging.WARNING
+        assert f"SHERMAN_BOUNDS_LOG={level!r} is not a log level; using WARNING" in captured.err
 
 
 class TestInstalledEntryPoint:

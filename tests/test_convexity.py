@@ -24,6 +24,7 @@ from sherman_bounds import (
     is_n_strongly_convex,
     shift_to_convex,
 )
+from sherman_bounds.convexity import CATALOG_ORDER
 from helpers import dd_recursive
 
 EXP03 = function_from_name("exp", (0.0, 3.0))
@@ -374,6 +375,25 @@ class TestCatalog:
             function_from_name("neg_log", (0.0, 1.0))
         with pytest.raises(ValidationError):
             function_from_name("pow:0.5", (-1.0, 1.0))
+
+    @pytest.mark.parametrize("name", ["pow:nan", "pow:inf", "pow:-inf", "pow:1e400"])
+    def test_non_finite_exponent_is_rejected(self, name):
+        # a nan or inf exponent would build a spec that no certificate accepts
+        with pytest.raises(ValidationError, match=r"exponent (nan|-?inf) .* is not finite"):
+            function_from_name(name, (0.5, 2.0))
+
+    @pytest.mark.parametrize("name", ["square", "linear", "exp", "xlogx", "neg_log", "pow:2.5"])
+    def test_negative_order_is_rejected(self, name):
+        with pytest.raises(ValueError, match="order must be >= 0, got -1"):
+            function_from_name(name, (0.5, 2.0), -1)
+
+    @pytest.mark.parametrize(
+        "name", ["square", "linear", "exp", "xlogx", "neg_log", "pow:0", "pow:2", "pow:2.5", "pow:-1"]
+    )
+    def test_derivative_count_equals_order(self, name):
+        for order in range(8):
+            assert function_from_name(name, (0.5, 2.0), order).max_order == order, order
+        assert function_from_name(name, (0.5, 2.0)).max_order == CATALOG_ORDER
 
 
 def assert_within_ulps(actual, expected, ulps=4):

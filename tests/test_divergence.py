@@ -31,6 +31,7 @@ from sherman_bounds import (
     shannon_entropy,
     verify_weighted_majorization,
 )
+from sherman_bounds.convexity import CATALOG_ORDER
 from helpers import fsum_dot, random_row_stochastic
 
 CLOSED_FORMS = {
@@ -162,6 +163,20 @@ class TestCatalog:
             get_kernel("kl", alpha=3.0)
         with pytest.raises(ValidationError, match="differs from the exponent"):
             get_kernel("renyi:2", alpha=3.0)
+
+    @pytest.mark.parametrize("name, alpha", [
+        ("renyi:inf", None), ("renyi:1e400", None), ("renyi", math.inf), ("renyi:inf", math.inf),
+    ])
+    def test_non_finite_renyi_exponent_is_rejected(self, name, alpha):
+        with pytest.raises(ValidationError, match="renyi exponent must be finite, got inf"):
+            get_kernel(name, alpha=alpha)
+
+    def test_generators_carry_catalog_order_derivatives(self):
+        for interval in (None, (0.5, 2.0)):
+            for kernel in [*catalog(interval), get_kernel("renyi:2.5", interval)]:
+                # |t - 1| has no derivative at 1, so the variational generator carries none
+                expected = 0 if kernel.name == "variational" else CATALOG_ORDER
+                assert kernel.generator.max_order == expected, kernel.name
 
 
 class TestCsiszarDivergence:
