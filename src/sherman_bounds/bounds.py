@@ -14,7 +14,7 @@ with ``B = sum_i b_i = sum_j a_j``.  Setting ``c = 0`` recovers the
 classical majorization and endpoint bounds; a larger certified ``c``
 tightens both ends.  Each link has one evaluator, shared by
 ``sherman_strong``, ``converse_sherman_strong`` and the ``full_chain``
-driver, which verifies the witness, resolves the modulus and reports
+driver, which verifies the witness, certifies the modulus and reports
 every link.  The links read each side's weighted sums from one lazy
 helper, which a divergence pair keeps per generator, and reject a sum
 that overflowed.  Of the one-row special cases, the endpoint chord
@@ -203,7 +203,6 @@ def jensen_strong(
     c: Optional[float] = None,
     *,
     certificate: Optional[ModulusCertificate] = None,
-    unchecked: bool = False,
 ) -> JensenBound:
     """Mean-value lower bound with quadratic strengthening.
 
@@ -217,7 +216,7 @@ def jensen_strong(
     """
     _check_normalized(x.weights)
     spec.require_inside(x.points)
-    modulus, _ = resolve_modulus(spec, c, certificate, unchecked=unchecked)
+    modulus, _ = resolve_modulus(spec, c, certificate)
     pts = x.points
     wts = x.weights
     xbar = float(wts @ pts)
@@ -237,7 +236,6 @@ def lah_ribaric_strong(
     c: Optional[float] = None,
     *,
     certificate: Optional[ModulusCertificate] = None,
-    unchecked: bool = False,
 ) -> LahRibaricBound:
     """Endpoint chord upper bound with quadratic strengthening.
 
@@ -252,7 +250,7 @@ def lah_ribaric_strong(
         ModulusNotCertified: per :func:`resolve_modulus`.
     """
     _check_normalized(x.weights)
-    rhs = converse_sherman_strong(x, 1.0, spec, c, certificate=certificate, unchecked=unchecked)
+    rhs = converse_sherman_strong(x, 1.0, spec, c, certificate=certificate)
     return LahRibaricBound(lhs=_SideSums(x.points, x.weights, spec).f, rhs=rhs)
 
 
@@ -263,7 +261,6 @@ def converse_sherman_strong(
     c: Optional[float] = None,
     *,
     certificate: Optional[ModulusCertificate] = None,
-    unchecked: bool = False,
 ) -> float:
     """Endpoint upper bound on ``S_a f(x)`` for arbitrary total weight.
 
@@ -279,7 +276,7 @@ def converse_sherman_strong(
     if not (math.isfinite(total_weight) and total_weight >= 0):
         raise ValueError(f"total weight must be finite and nonnegative, got {total_weight}")
     spec.require_inside(x.points)
-    modulus, _ = resolve_modulus(spec, c, certificate, unchecked=unchecked)
+    modulus, _ = resolve_modulus(spec, c, certificate)
     return _converse_link(_SideSums(x.points, x.weights, spec), total_weight, modulus)[0]
 
 
@@ -301,30 +298,23 @@ def sherman_strong(
     *,
     matrix: Optional[StochasticMatrix] = None,
     certificate: Optional[ModulusCertificate] = None,
-    unchecked_modulus: bool = False,
-    assume_majorized: bool = False,
     tol: float = 1e-9,
 ) -> ShermanBound:
     """Strongly convex majorization bound ``S_b f(y) <= S_a f(x) - c*(S_a x^2 - S_b y^2)``.
 
-    The weighted majorization of ``(y, b)`` by ``(x, a)`` must either be
-    verified here (pass the row-stochastic witness ``matrix``) or be
-    vouched for by the caller with ``assume_majorized=True``.
+    The weighted majorization of ``(y, b)`` by ``(x, a)`` is verified
+    here against the row-stochastic witness ``matrix``.
 
     Raises:
-        MajorizationNotVerified: if no witness is given and the caller
-            did not assume majorization, or the witness fails to verify.
+        MajorizationNotVerified: if no witness is given or it fails to verify.
         ModulusNotCertified: per :func:`resolve_modulus`.
     """
     spec.require_inside(x.points)
     spec.require_inside(y.points)
-    if matrix is not None:
-        _require_passed(verify_weighted_majorization(x, y, matrix, tol))
-    elif not assume_majorized:
-        raise MajorizationNotVerified(
-            "pass a stochastic witness matrix or set assume_majorized=True"
-        )
-    modulus, _ = resolve_modulus(spec, c, certificate, unchecked=unchecked_modulus)
+    if matrix is None:
+        raise MajorizationNotVerified("pass a stochastic witness matrix")
+    _require_passed(verify_weighted_majorization(x, y, matrix, tol))
+    modulus, _ = resolve_modulus(spec, c, certificate)
     lhs, strong, plain, correction = _sherman_link(
         _SideSums(x.points, x.weights, spec), _SideSums(y.points, y.weights, spec), modulus
     )
@@ -345,7 +335,6 @@ def full_chain(
     c: Optional[float] = None,
     *,
     certificate: Optional[ModulusCertificate] = None,
-    unchecked_modulus: bool = False,
     tol: float = 1e-9,
 ) -> BoundChain:
     """Verify the witness and evaluate every link of the two-sided chain.
@@ -357,7 +346,6 @@ def full_chain(
         spec: Function, strongly convex on its interval.
         c: Optional explicit modulus; None auto-certifies at order 2.
         certificate: Optional precomputed modulus certificate to reuse.
-        unchecked_modulus: Accept ``c`` without certification.
         tol: Witness verification tolerance.
 
     Returns:
@@ -373,7 +361,7 @@ def full_chain(
     spec.require_inside(y.points)
     result = verify_weighted_majorization(x, y, matrix, tol)
     _require_passed(result)
-    modulus, _ = resolve_modulus(spec, c, certificate, unchecked=unchecked_modulus)
+    modulus, _ = resolve_modulus(spec, c, certificate)
     chain = _chain_links(
         _SideSums(x.points, x.weights, spec), _SideSums(y.points, y.weights, spec), modulus
     )

@@ -9,7 +9,7 @@ defined on.  On top of that this module provides
 * grid certification of the strong-convexity modulus of order ``n``
   (the largest ``c`` with ``f^(n) >= c * n!`` on the interval, i.e. the
   largest ``c`` such that ``f(t) - c*t^n`` stays n-convex), from which
-  :func:`resolve_modulus` decides the modulus of every bound,
+  :func:`resolve_modulus` certifies the modulus of every bound,
 * refutation-only sampling checks of n-convexity via random divided
   differences, and
 * the shift ``f -> f - c*t^n`` that turns an n-strongly convex function
@@ -272,21 +272,17 @@ def resolve_modulus(
     c: Optional[float],
     certificate: Optional[ModulusCertificate] = None,
     *,
-    unchecked: bool = False,
     order: int = 2,
-) -> tuple[float, Optional[ModulusCertificate]]:
-    """Resolve the modulus of order ``order`` a bound uses, certifying when needed.
+) -> tuple[float, ModulusCertificate]:
+    """Resolve the modulus of order ``order`` a bound uses, certifying it.
 
     ``c=None`` auto-certifies (or reuses the given certificate) and uses
     the certified modulus.  An explicit ``c`` may sit anywhere at or
     below the certified value (a smaller modulus only weakens the bound,
-    which stays valid); exceeding it raises unless ``unchecked`` is set,
-    in which case the caller vouches for ``c`` and no certificate is
-    consulted.
+    which stays valid); exceeding it raises.
 
     Returns:
-        ``(modulus, certificate)``; the certificate is None only on the
-        unchecked path when none was supplied.
+        ``(modulus, certificate)``.
 
     Raises:
         ModulusNotCertified: when certification fails or an explicit
@@ -295,10 +291,6 @@ def resolve_modulus(
     """
     if c is not None and not (math.isfinite(c) and c >= 0):
         raise ValueError(f"modulus must be finite and nonnegative, got {c}")
-    if unchecked:
-        if c is None:
-            raise ValueError("unchecked modulus requires an explicit value")
-        return float(c), certificate
     cert = certificate or estimate_strong_modulus(spec, order)
     if cert.order != order:
         raise ModulusNotCertified(
@@ -407,8 +399,8 @@ def shift_to_convex(spec: FunctionSpec, n: int, c: float) -> FunctionSpec:
     """
     if n < 1:
         raise ValueError(f"order must be >= 1, got {n}")
-    if c < 0:
-        raise ValueError(f"modulus must be nonnegative, got {c}")
+    if not (math.isfinite(c) and c >= 0):
+        raise ValueError(f"modulus must be finite and nonnegative, got {c}")
     f = spec.evaluator
 
     def g(t: float, _f=f, _c=c, _n=n) -> float:
@@ -443,7 +435,14 @@ def check_derivative_consistency(
     Uses step ``h = (beta-alpha)*1e-5`` on an interior grid and accepts
     when ``|central - exact| <= rel_tol * (|exact| + 1)`` everywhere.
     Intended as a sanity check for hand-written derivative tuples.
+
+    Raises:
+        ValueError: unless ``grid_size >= 1`` and ``rel_tol`` is finite and positive.
     """
+    if grid_size < 1:
+        raise ValueError(f"grid_size must be >= 1, got {grid_size}")
+    if not (math.isfinite(rel_tol) and rel_tol > 0):
+        raise ValueError(f"rel_tol must be finite and positive, got {rel_tol}")
     lo, hi = spec.interval
     h = (hi - lo) * 1e-5
     ts = np.linspace(lo + 2.0 * h, hi - 2.0 * h, grid_size)

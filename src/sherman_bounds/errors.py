@@ -50,7 +50,7 @@ class NotMajorized(DomainError):
 
 
 class MajorizationNotVerified(DomainError):
-    """A bound was requested on a pair whose majorization was neither verified nor waived."""
+    """A bound was requested on a pair whose majorization was not verified."""
 
 
 class WeightsNotNormalized(DomainError):

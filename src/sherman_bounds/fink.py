@@ -13,8 +13,8 @@ first-order terms and yields an exact representation of the difference
 ``S_a f(x) - S_b f(y)``; dropping the integral gives computable bounds
 whenever the combined kernel weight has one sign on the interval, which
 holds in particular for even ``n`` on verified pairs.  Applying that to
-the shift ``g = f - c*t^n`` of an n-strongly convex ``f`` produces the
-higher-order analogue of the quadratically corrected bound.
+the shift ``g = f - c*t^n`` of an ``f`` certified n-strongly convex with
+modulus ``c`` produces the higher-order analogue of the corrected bound.
 
 The kernel weight is a polynomial between consecutive data points; its
 sign is proved piece by piece from Bernstein coefficients.  Integrals are
@@ -590,20 +590,17 @@ def higher_order_sherman_bound(
     spec: FunctionSpec,
     n: int,
     c: float,
-    *,
-    unchecked_modulus: bool = False,
 ) -> HigherOrderBound:
     """Bound the Sherman difference through the order-n identity.
 
     The modulus claim (``f`` n-strongly convex with modulus ``c``; plain
     n-convexity for ``c = 0``) is checked against the order-n grid
-    certificate, as in the order-2 chain, unless ``unchecked_modulus`` is
-    set.  The kernel weight of the pair must be one-signed on the
-    interval; dropping the integral of ``g^(n) >= 0`` against it then
-    leaves a valid inequality between the shifted difference and its
-    endpoint-derivative sum.  Nothing is integrated: one Bernstein
-    certificate of :func:`check_kernel_condition` proves the sign, and the
-    two sides come from the identity's endpoint terms.
+    certificate, as in the order-2 chain.  The kernel weight of the pair
+    must be one-signed on the interval; dropping the integral of
+    ``g^(n) >= 0`` against it then leaves a valid inequality between the
+    shifted difference and its endpoint-derivative sum.  Nothing is
+    integrated: one Bernstein certificate of :func:`check_kernel_condition`
+    proves the sign, and the two sides come from the identity's endpoint terms.
 
     Raises:
         ValueError: unless ``c`` is finite and nonnegative.
@@ -621,7 +618,7 @@ def higher_order_sherman_bound(
             f"kernel weight spans [{condition.min_value}, {condition.max_value}]; "
             "no one-sided bound follows"
         )
-    resolve_modulus(spec, c, unchecked=unchecked_modulus, order=n)
+    resolve_modulus(spec, c, order=n)
     lhs, boundary = _difference_terms(x, y, shift_to_convex(spec, n, c), n)
     if condition.classification == "nonnegative":
         holds = lhs >= boundary - BOUND_SLACK

@@ -247,6 +247,8 @@ def majorizes(x, y, tol: float = DEFAULT_TOL, *, with_matrix: bool = False) -> M
         ValueError: unless ``tol`` is finite and nonnegative.
         LengthMismatch: if the vectors differ in length.
         ValidationError: if a vector has a NaN or infinite entry or its sum overflows.
+        NotMajorized: with ``with_matrix``, if the witness misses ``y``
+            by more than ``1e-10 * max(1, max_i |x_i|)``.
     """
     _require_tol(tol)
     xa = np.asarray(x, dtype=float)
@@ -272,8 +274,8 @@ def majorizes(x, y, tol: float = DEFAULT_TOL, *, with_matrix: bool = False) -> M
     return MajorizationCert("holds", None, matrix, residual)
 
 
-def construct_doubly_stochastic(x, y, tol: float = DEFAULT_TOL) -> StochasticMatrix:
-    """Build a doubly stochastic ``A`` with ``y = A x`` for a majorized pair.
+def _t_transform_witness(xa: np.ndarray, ya: np.ndarray) -> tuple[StochasticMatrix, float]:
+    """A doubly stochastic ``A`` with ``y = A x`` for a checked majorized pair, with its residual.
 
     Classical construction: sort both vectors in decreasing order, then
     apply at most ``m - 1`` T-transforms (convex mixtures of the identity
@@ -285,33 +287,7 @@ def construct_doubly_stochastic(x, y, tol: float = DEFAULT_TOL) -> StochasticMat
     base row; the row the step finishes is written once, in O(m), straight
     into ``A`` in the original coordinate order, so the witness costs
     O(m^2).
-
-    Args:
-        x: Majorant vector.
-        y: Majorized vector (``y ≺ x`` within ``tol``).
-        tol: Tolerance forwarded to the majorization check.
-
-    Returns:
-        The witness as a validated doubly stochastic matrix with
-        ``max_i |y_i - (A x)_i| <= 1e-10 * max(1, max_i |x_i|)``.
-
-    Raises:
-        ValueError: unless ``tol`` is finite and nonnegative.
-        ValidationError: if either vector has a NaN or infinite entry.
-        NotMajorized: if the pair fails the majorization check, or if the
-            inputs are so far from exact majorization that the residual
-            target is unreachable.
     """
-    xa = np.asarray(x, dtype=float)
-    ya = np.asarray(y, dtype=float)
-    cert = majorizes(xa, ya, tol)
-    if not cert.holds:
-        raise NotMajorized(f"pair fails majorization at prefix {cert.witness_k}")
-    return _t_transform_witness(xa, ya)[0]
-
-
-def _t_transform_witness(xa: np.ndarray, ya: np.ndarray) -> tuple[StochasticMatrix, float]:
-    """The witness of :func:`construct_doubly_stochastic` on a checked pair, with its residual."""
     m = xa.size
     ordx = np.argsort(-xa, kind="stable")
     ordy = np.argsort(-ya, kind="stable")

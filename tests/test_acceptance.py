@@ -14,7 +14,6 @@ import numpy as np
 from sherman_bounds import (
     DistributionPair,
     check_kernel_condition,
-    construct_doubly_stochastic,
     divided_difference,
     divergence_bounds,
     estimate_strong_modulus,
@@ -24,6 +23,7 @@ from sherman_bounds import (
     get_kernel,
     higher_order_sherman_bound,
     kl_divergence,
+    majorizes,
     shannon_entropy,
     sherman_difference_identity,
     sherman_strong,
@@ -188,7 +188,7 @@ def test_criterion_7_majorization_construction():
         x = rng.uniform(0.0, 1.0, m)
         d = random_doubly_stochastic(rng, m)
         y = d @ x
-        matrix = construct_doubly_stochastic(x, y)
+        matrix = majorizes(x, y, with_matrix=True).matrix
         entries = matrix.entries
         worst_sum = max(
             worst_sum,

@@ -20,6 +20,7 @@ from sherman_bounds import (
     estimate_strong_modulus,
     full_chain,
     function_from_name,
+    higher_order_sherman_bound,
     jensen_strong,
     lah_ribaric_strong,
     resolve_modulus,
@@ -62,15 +63,25 @@ class TestResolveModulus:
         c, _ = resolve_modulus(EXP01, 0.25)
         assert c == 0.25
 
-    def test_explicit_above_certified_rejected(self):
-        with pytest.raises(ModulusNotCertified):
-            resolve_modulus(EXP01, 0.75)
-
-    def test_unchecked_bypasses_certification(self):
-        c, cert = resolve_modulus(EXP01, 0.75, unchecked=True)
-        assert c == 0.75 and cert is None
-        with pytest.raises(ValueError):
-            resolve_modulus(EXP01, None, unchecked=True)
+    @pytest.mark.parametrize("bound", [
+        "resolve_modulus", "jensen_strong", "lah_ribaric_strong", "converse_sherman_strong",
+        "sherman_strong", "full_chain", "higher_order_sherman_bound",
+    ])
+    def test_explicit_above_certified_rejected(self, bound):
+        # exp on [0, 1] certifies 1/2; every public bound refuses 0.75
+        x, y, witness = random_chain_instance(np.random.default_rng(39), (0.0, 1.0))
+        mean = WeightedVector([0.25, 0.75], [0.5, 0.5])
+        calls = {
+            "resolve_modulus": lambda: resolve_modulus(EXP01, 0.75),
+            "jensen_strong": lambda: jensen_strong(mean, EXP01, 0.75),
+            "lah_ribaric_strong": lambda: lah_ribaric_strong(mean, EXP01, 0.75),
+            "converse_sherman_strong": lambda: converse_sherman_strong(x, 1.0, EXP01, 0.75),
+            "sherman_strong": lambda: sherman_strong(x, y, EXP01, 0.75, matrix=witness),
+            "full_chain": lambda: full_chain(x, y, witness, EXP01, 0.75),
+            "higher_order_sherman_bound": lambda: higher_order_sherman_bound(x, y, EXP01, 2, 0.75),
+        }
+        with pytest.raises(ModulusNotCertified, match="modulus 0.75 exceeds certified 0.5 "):
+            calls[bound]()
 
     def test_certificate_order_must_match(self):
         cert = estimate_strong_modulus(EXP01, 3)
@@ -92,15 +103,14 @@ class TestResolveModulus:
         rng = np.random.default_rng(38)
         x, y, witness = random_chain_instance(rng, (0.0, 1.0))
         mean = WeightedVector([0.25, 0.75], [0.5, 0.5])
-        for unchecked in (False, True):
-            with pytest.raises(ValueError):
-                resolve_modulus(EXP01, c, unchecked=unchecked)
-            with pytest.raises(ValueError):
-                full_chain(x, y, witness, EXP01, c, unchecked_modulus=unchecked)
-            with pytest.raises(ValueError):
-                jensen_strong(mean, EXP01, c, unchecked=unchecked)
-            with pytest.raises(ValueError):
-                converse_sherman_strong(x, x.weight_sum, EXP01, c, unchecked=unchecked)
+        with pytest.raises(ValueError):
+            resolve_modulus(EXP01, c)
+        with pytest.raises(ValueError):
+            full_chain(x, y, witness, EXP01, c)
+        with pytest.raises(ValueError):
+            jensen_strong(mean, EXP01, c)
+        with pytest.raises(ValueError):
+            converse_sherman_strong(x, x.weight_sum, EXP01, c)
 
 
 class TestJensen:
@@ -181,12 +191,12 @@ class TestLahRibaric:
 
 
 class TestShermanStrong:
-    def test_requires_witness_or_waiver(self):
+    def test_requires_witness(self):
         x = WeightedVector([0.0, 1.0], [0.5, 0.5])
         y = WeightedVector([0.5], [1.0])
         with pytest.raises(MajorizationNotVerified):
             sherman_strong(x, y, SQUARE01)
-        bound = sherman_strong(x, y, SQUARE01, assume_majorized=True)
+        bound = sherman_strong(x, y, SQUARE01, matrix=StochasticMatrix([[0.5, 0.5]], "row"))
         assert bound.lhs <= bound.strong_bound + CHAIN_SLACK
 
     def test_bad_witness_rejected(self):
@@ -260,26 +270,26 @@ class TestConverse:
             assert plain <= upper + CHAIN_SLACK
 
     def test_chord_reads_f_through_the_array_path(self):
-        # numpy's array power and C pow round pow:3 apart at some points; take two as the ends
-        t = np.random.default_rng(5).uniform(-10.0, 10.0, 20000)
-        spec = function_from_name("pow:3", (-10.0, 10.0))
+        # numpy's array power and C pow round pow:3 apart at some points; take two as the
+        # ends, from a positive interval, where pow:3 is convex
+        t = np.random.default_rng(5).uniform(0.5, 10.0, 20000)
+        spec = function_from_name("pow:3", (0.5, 10.0))
         split = t[spec.evaluate(t) != np.array([spec.evaluator(v) for v in t.tolist()])]
-        lo, hi = (float(split.min()), float(split.max())) if split.size else (-10.0, 10.0)
+        lo, hi = (float(split.min()), float(split.max())) if split.size else (0.5, 10.0)
         spec = function_from_name("pow:3", (lo, hi))
         x = WeightedVector([lo, 0.5 * (lo + hi), hi], [0.25, 0.5, 0.25])
         f_lo, _, f_hi = spec.evaluate(x.points).tolist()
         assert split.size == 0 or (f_lo, f_hi) != (spec.evaluator(lo), spec.evaluator(hi))
         linear = float(x.weights @ x.points)
         chord = ((hi - linear) * f_lo + (linear - lo) * f_hi) / (hi - lo)
-        assert converse_sherman_strong(x, 1.0, spec, 0.0, unchecked=True) == chord
+        assert converse_sherman_strong(x, 1.0, spec, 0.0) == chord
 
     @pytest.mark.parametrize("total", [math.nan, math.inf, -math.inf, -1.0])
     def test_invalid_total_weight_rejected(self, total):
         # nan and inf gave a NaN bound, and -1.0 a finite number
         x = WeightedVector([0.25, 0.75], [0.5, 0.5])
-        for unchecked in (False, True):
-            with pytest.raises(ValueError, match="total weight"):
-                converse_sherman_strong(x, total, EXP01, 0.5, unchecked=unchecked)
+        with pytest.raises(ValueError, match="total weight"):
+            converse_sherman_strong(x, total, EXP01, 0.5)
 
 
 class TestFullChain:
@@ -385,15 +395,13 @@ class TestFullChain:
         x, y, witness = random_chain_instance(rng, (0.0, 1.0))
         with pytest.raises(ModulusNotCertified):
             full_chain(x, y, witness, EXP01, 0.9)
-        chain = full_chain(x, y, witness, EXP01, 0.9, unchecked_modulus=True)
-        assert chain.modulus == 0.9
 
     def test_degenerate_interval_rejected(self):
         spec = function_from_name("exp", (0.5, 0.5 + 5e-15))
         x = WeightedVector([0.5], [1.0])
         witness = StochasticMatrix([[1.0]], "row")
         with pytest.raises(DegenerateInterval):
-            full_chain(x, x, witness, spec, 0.0, unchecked_modulus=True)
+            full_chain(x, x, witness, spec, 0.0)
 
     def test_carries_its_witness_check(self):
         rng = np.random.default_rng(37)
@@ -432,13 +440,12 @@ class TestOverflowingLinks:
     Y = WeightedVector([0.0], [1.0])
 
     def test_each_bound_raises(self):
-        witness = StochasticMatrix([[0.5, 0.5]], "row")
+        witness = StochasticMatrix([[0.5, 0.5]], "row")  # square certifies c = 1 exactly
         for call in (
-            lambda: full_chain(self.X, self.Y, witness, self.SPEC, 1.0, unchecked_modulus=True),
-            lambda: sherman_strong(self.X, self.Y, self.SPEC, 1.0, matrix=witness,
-                                   unchecked_modulus=True),
-            lambda: converse_sherman_strong(self.X, 1.0, self.SPEC, 1.0, unchecked=True),
-            lambda: lah_ribaric_strong(self.X, self.SPEC, 1.0, unchecked=True),
+            lambda: full_chain(self.X, self.Y, witness, self.SPEC, 1.0),
+            lambda: sherman_strong(self.X, self.Y, self.SPEC, 1.0, matrix=witness),
+            lambda: converse_sherman_strong(self.X, 1.0, self.SPEC, 1.0),
+            lambda: lah_ribaric_strong(self.X, self.SPEC, 1.0),
         ):
             with pytest.raises(ValidationError, match="non-finite value"):
                 call()

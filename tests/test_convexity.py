@@ -328,6 +328,10 @@ class TestShiftToConvex:
     def test_rejects_negative_modulus(self):
         with pytest.raises(ValueError):
             shift_to_convex(SQUARE01, 2, -1.0)
+        # NaN gave a spec of NaN values named exp-nan*t^2, and inf one that evaluates to -inf
+        for c in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                shift_to_convex(function_from_name("exp", (0.0, 1.0)), 2, c)
 
     def test_rejects_order_zero(self):
         with pytest.raises(ValueError, match="order"):
@@ -348,6 +352,16 @@ class TestCatalog:
     def test_consistency_check_catches_wrong_derivative(self):
         wrong = FunctionSpec("wrong", math.exp, (lambda t: 2.0 * math.exp(t),), (0.0, 1.0))
         assert not check_derivative_consistency(wrong)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"rel_tol": math.nan}, {"rel_tol": math.inf}, {"rel_tol": 0.0}, {"grid_size": 0},
+    ], ids=["nan_tol", "inf_tol", "zero_tol", "empty_grid"])
+    def test_consistency_check_rejects_bad_settings(self, kwargs):
+        # NaN and inf tolerances and an empty grid each let the wrong f' pass;
+        # a zero tolerance would fail every spec on rounding alone
+        wrong = FunctionSpec("wrong", math.exp, (lambda t: 2.0 * math.exp(t),), (0.0, 1.0))
+        with pytest.raises(ValueError, match="grid_size|rel_tol"):
+            check_derivative_consistency(wrong, **kwargs)
 
     def test_square_evaluates_as_plain_product(self):
         assert SQUARE01.evaluator(0.3) == 0.3 * 0.3

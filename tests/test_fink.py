@@ -628,8 +628,6 @@ class TestHigherOrderBound:
         x, y, _ = random_chain_instance(rng, (0.0, 1.0))
         with pytest.raises(ModulusNotCertified, match="modulus 2.0 exceeds certified 0.5"):
             higher_order_sherman_bound(x, y, EXP01, 2, 2.0)
-        bound = higher_order_sherman_bound(x, y, EXP01, 2, 2.0, unchecked_modulus=True)
-        assert not bound.holds  # the claim really is false for this pair
 
     def test_certificate_refuses_plain_convexity_at_zero_modulus(self):
         # c = 0 claims plain n-convexity; log is concave
@@ -726,7 +724,7 @@ class TestHigherOrderBound:
         rng = np.random.default_rng(50)
         x, y, _ = random_chain_instance(rng, (0.0, 1.0))
         with pytest.raises(MissingDerivative):
-            higher_order_sherman_bound(x, y, only_one, 2, 0.0, unchecked_modulus=True)
+            higher_order_sherman_bound(x, y, only_one, 2, 0.0)
 
     def test_negative_modulus_rejected(self):
         v = WeightedVector([0.5], [1.0])
@@ -737,9 +735,8 @@ class TestHigherOrderBound:
     def test_non_finite_modulus_rejected(self, c):
         # NaN passes a plain ``c < 0`` test and would give NaN sides
         x, y, _ = random_chain_instance(np.random.default_rng(54), (0.0, 1.0))
-        for unchecked in (False, True):
-            with pytest.raises(ValueError):
-                higher_order_sherman_bound(x, y, EXP01, 2, c, unchecked_modulus=unchecked)
+        with pytest.raises(ValueError):
+            higher_order_sherman_bound(x, y, EXP01, 2, c)
 
     def test_nonpositive_kernel_flips_the_inequality(self):
         rng = np.random.default_rng(47)

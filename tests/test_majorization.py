@@ -10,12 +10,10 @@ from sherman_bounds import (
     DimensionMismatch,
     DistributionPair,
     LengthMismatch,
-    NotMajorized,
     PointOutOfInterval,
     StochasticMatrix,
     ValidationError,
     WeightedVector,
-    construct_doubly_stochastic,
     generate_weighted_pair,
     majorizes,
     verify_weighted_majorization,
@@ -255,32 +253,31 @@ class TestMajorizes:
         with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
             majorizes([0.0, 0.0], [1.0, -1.0], tol)
         with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
-            construct_doubly_stochastic([0.0, 0.0], [1.0, -1.0], tol)
+            majorizes([0.0, 0.0], [1.0, -1.0], tol, with_matrix=True)
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
             majorizes([1.0, 2.0], [1.0])
 
-    @pytest.mark.parametrize("build", [majorizes, construct_doubly_stochastic])
+    @pytest.mark.parametrize("build", [majorizes])
     @pytest.mark.parametrize("side", ["x", "y"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite(self, build, side, bad):
         pair = {"x": [1.0, 2.0], "y": [1.5, 1.5]}
         pair[side] = [bad, 0.0]
-        with pytest.raises(ValidationError, match="finite"):
-            build(pair["x"], pair["y"])
-        if build is majorizes:
+        for with_matrix in (False, True):
             with pytest.raises(ValidationError, match="finite"):
-                majorizes(pair["x"], pair["y"], with_matrix=True)
+                build(pair["x"], pair["y"], with_matrix=with_matrix)
 
-    @pytest.mark.parametrize("build", [majorizes, construct_doubly_stochastic])
+    @pytest.mark.parametrize("build", [majorizes])
     def test_rejects_overflowing_sums(self, build):
         # Both totals overflow to inf, and inf - inf is NaN, which once passed
         # the total check: the pair was called "holds" though its totals differ by 1e307.
-        with pytest.raises(ValidationError, match="overflow"):
-            build([1.7e308] * 2, [1.7e308, 1.6e308])
-        with pytest.raises(ValidationError, match="overflow"):
-            build([1.0, 1.0], [1.7e308, 1.7e308])
+        for with_matrix in (False, True):
+            with pytest.raises(ValidationError, match="overflow"):
+                build([1.7e308] * 2, [1.7e308, 1.6e308], with_matrix=with_matrix)
+            with pytest.raises(ValidationError, match="overflow"):
+                build([1.0, 1.0], [1.7e308, 1.7e308], with_matrix=with_matrix)
 
     @staticmethod
     def loop_witness_k(x, y, tol):
@@ -326,12 +323,6 @@ class TestMajorizes:
         y = random_doubly_stochastic(rng, 40) @ x
         assert majorization.majorizes(x, y, with_matrix=True).matrix is not None
         assert len(calls) == 1
-        # called directly, the construction still checks the pair itself
-        calls.clear()
-        construct_doubly_stochastic(x, y)
-        assert len(calls) == 1
-        with pytest.raises(NotMajorized, match="at prefix 1"):
-            construct_doubly_stochastic([2.0, 2.0], [3.0, 1.0])
 
     def test_averaging_is_majorized(self):
         rng = np.random.default_rng(5)
@@ -353,17 +344,17 @@ class TestMajorizes:
 
 class TestConstruction:
     def test_identity_for_equal_vectors(self):
-        m = construct_doubly_stochastic([1.0, 4.0, 2.0], [1.0, 4.0, 2.0])
+        m = majorizes([1.0, 4.0, 2.0], [1.0, 4.0, 2.0], with_matrix=True).matrix
         assert np.array_equal(m.entries, np.eye(3))
 
     def test_uniform_average_of_two(self):
-        m = construct_doubly_stochastic([1.0, 0.0], [0.5, 0.5])
+        m = majorizes([1.0, 0.0], [0.5, 0.5], with_matrix=True).matrix
         assert np.allclose(m.entries, 0.5 * np.ones((2, 2)), atol=1e-12)
 
     def test_classic_example(self):
         x = np.array([3.0, 2.0, 1.0])
         y = np.array([2.0, 2.0, 2.0])
-        m = construct_doubly_stochastic(x, y)
+        m = majorizes(x, y, with_matrix=True).matrix
         assert np.abs(m.entries @ x - y).max() <= 1e-10
         assert np.abs(m.entries.sum(axis=0) - 1.0).max() <= 1e-12
         assert np.abs(m.entries.sum(axis=1) - 1.0).max() <= 1e-12
@@ -374,7 +365,7 @@ class TestConstruction:
             size = int(rng.integers(1, 9))
             x = rng.uniform(-3.0, 3.0, size)
             y = random_doubly_stochastic(rng, size) @ x
-            m = construct_doubly_stochastic(x, y)
+            m = majorizes(x, y, with_matrix=True).matrix
             assert np.abs(m.entries @ x - y).max() <= 1e-10
             assert np.abs(m.entries.sum(axis=0) - 1.0).max() <= 1e-12
             assert np.abs(m.entries.sum(axis=1) - 1.0).max() <= 1e-12
@@ -382,12 +373,12 @@ class TestConstruction:
     def test_unsorted_inputs_keep_original_order(self):
         x = np.array([1.0, 3.0, 2.0])
         y = np.array([2.5, 1.5, 2.0])
-        m = construct_doubly_stochastic(x, y)
+        m = majorizes(x, y, with_matrix=True).matrix
         assert np.abs(m.entries @ x - y).max() <= 1e-10
 
     def test_rejects_non_majorized(self):
-        with pytest.raises(NotMajorized):
-            construct_doubly_stochastic([2.0, 2.0], [3.0, 1.0])
+        cert = majorizes([2.0, 2.0], [3.0, 1.0], with_matrix=True)
+        assert (cert.relation, cert.witness_k, cert.matrix) == ("fails", 1, None)
 
     def test_majorizes_attaches_matrix_on_request(self):
         cert = majorizes([3.0, 2.0, 1.0], [2.0, 2.0, 2.0], with_matrix=True)
@@ -548,7 +539,7 @@ def check_against_dense(x, y, scale=1.0):
 
     ``scale`` multiplies the majorization tolerance and the residual bound.
     """
-    m = construct_doubly_stochastic(x, y, scale * majorization.DEFAULT_TOL).entries
+    m = majorizes(x, y, scale * majorization.DEFAULT_TOL, with_matrix=True).matrix.entries
     assert np.abs(m @ x - y).max() <= 1e-10 * scale
     assert np.abs(m.sum(axis=0) - 1.0).max() <= 1e-12
     assert np.abs(m.sum(axis=1) - 1.0).max() <= 1e-12
@@ -649,14 +640,14 @@ class TestCarriedRow:
         perm_x, perm_y = [3, 0, 5, 1, 4, 2], [2, 5, 0, 4, 1, 3]
         check_against_dense(x[perm_x], y[perm_y])
         # two blocks with nothing carried between them
-        m = construct_doubly_stochastic(x, y).entries
+        m = majorizes(x, y, with_matrix=True).matrix.entries
         assert not m[:3, 3:].any() and not m[3:, :3].any()
 
     def test_permutation_with_ties_is_exact(self):
         x = np.array([3.0, 1.0, 3.0, 2.0, 1.0, 3.0, 0.0])
         y = x[[4, 0, 6, 2, 1, 3, 5]]
         check_against_dense(x, y)
-        m = construct_doubly_stochastic(x, y).entries
+        m = majorizes(x, y, with_matrix=True).matrix.entries
         assert np.isin(m, (0.0, 1.0)).all()
         assert np.array_equal(m.sum(axis=0), np.ones(7))
         assert np.array_equal(m.sum(axis=1), np.ones(7))
