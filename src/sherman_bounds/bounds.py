@@ -32,7 +32,6 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .convexity import (
-    MODULUS_SLACK,
     FunctionSpec,
     ModulusCertificate,
     resolve_modulus,
@@ -40,6 +39,7 @@ from .convexity import (
 from .errors import (
     DegenerateInterval,
     MajorizationNotVerified,
+    ModulusNotCertified,
     ValidationError,
     WeightsNotNormalized,
 )
@@ -201,8 +201,6 @@ def jensen_strong(
     x: WeightedVector,
     spec: FunctionSpec,
     c: Optional[float] = None,
-    *,
-    certificate: Optional[ModulusCertificate] = None,
 ) -> JensenBound:
     """Mean-value lower bound with quadratic strengthening.
 
@@ -216,7 +214,7 @@ def jensen_strong(
     """
     _check_normalized(x.weights)
     spec.require_inside(x.points)
-    modulus, _ = resolve_modulus(spec, c, certificate)
+    modulus, _ = resolve_modulus(spec, c)
     pts = x.points
     wts = x.weights
     xbar = float(wts @ pts)
@@ -234,8 +232,6 @@ def lah_ribaric_strong(
     x: WeightedVector,
     spec: FunctionSpec,
     c: Optional[float] = None,
-    *,
-    certificate: Optional[ModulusCertificate] = None,
 ) -> LahRibaricBound:
     """Endpoint chord upper bound with quadratic strengthening.
 
@@ -250,7 +246,7 @@ def lah_ribaric_strong(
         ModulusNotCertified: per :func:`resolve_modulus`.
     """
     _check_normalized(x.weights)
-    rhs = converse_sherman_strong(x, 1.0, spec, c, certificate=certificate)
+    rhs = converse_sherman_strong(x, 1.0, spec, c)
     return LahRibaricBound(lhs=_SideSums(x.points, x.weights, spec).f, rhs=rhs)
 
 
@@ -259,8 +255,6 @@ def converse_sherman_strong(
     total_weight: float,
     spec: FunctionSpec,
     c: Optional[float] = None,
-    *,
-    certificate: Optional[ModulusCertificate] = None,
 ) -> float:
     """Endpoint upper bound on ``S_a f(x)`` for arbitrary total weight.
 
@@ -276,7 +270,7 @@ def converse_sherman_strong(
     if not (math.isfinite(total_weight) and total_weight >= 0):
         raise ValueError(f"total weight must be finite and nonnegative, got {total_weight}")
     spec.require_inside(x.points)
-    modulus, _ = resolve_modulus(spec, c, certificate)
+    modulus, _ = resolve_modulus(spec, c)
     return _converse_link(_SideSums(x.points, x.weights, spec), total_weight, modulus)[0]
 
 
@@ -297,13 +291,12 @@ def sherman_strong(
     c: Optional[float] = None,
     *,
     matrix: Optional[StochasticMatrix] = None,
-    certificate: Optional[ModulusCertificate] = None,
-    tol: float = 1e-9,
 ) -> ShermanBound:
     """Strongly convex majorization bound ``S_b f(y) <= S_a f(x) - c*(S_a x^2 - S_b y^2)``.
 
     The weighted majorization of ``(y, b)`` by ``(x, a)`` is verified
-    here against the row-stochastic witness ``matrix``.
+    here against the row-stochastic witness ``matrix`` at
+    :data:`.majorization.DEFAULT_TOL`.
 
     Raises:
         MajorizationNotVerified: if no witness is given or it fails to verify.
@@ -313,8 +306,8 @@ def sherman_strong(
     spec.require_inside(y.points)
     if matrix is None:
         raise MajorizationNotVerified("pass a stochastic witness matrix")
-    _require_passed(verify_weighted_majorization(x, y, matrix, tol))
-    modulus, _ = resolve_modulus(spec, c, certificate)
+    _require_passed(verify_weighted_majorization(x, y, matrix))
+    modulus, _ = resolve_modulus(spec, c)
     lhs, strong, plain, correction = _sherman_link(
         _SideSums(x.points, x.weights, spec), _SideSums(y.points, y.weights, spec), modulus
     )
@@ -335,9 +328,10 @@ def full_chain(
     c: Optional[float] = None,
     *,
     certificate: Optional[ModulusCertificate] = None,
-    tol: float = 1e-9,
 ) -> BoundChain:
     """Verify the witness and evaluate every link of the two-sided chain.
+
+    The witness is checked at :data:`.majorization.DEFAULT_TOL`.
 
     Args:
         x: Majorant side ``(x, a)``.
@@ -345,8 +339,9 @@ def full_chain(
         matrix: Row-stochastic witness with ``a = b A`` and ``y = A x``.
         spec: Function, strongly convex on its interval.
         c: Optional explicit modulus; None auto-certifies at order 2.
-        certificate: Optional precomputed modulus certificate to reuse.
-        tol: Witness verification tolerance.
+        certificate: Checked, never trusted: the chain resolves its own
+            certificate and raises if this one differs.  The keyword stays
+            because the benchmark's ``bulk_large`` workload passes it.
 
     Returns:
         A :class:`BoundChain`; ``chain_holds`` reports whether each of
@@ -354,14 +349,17 @@ def full_chain(
 
     Raises:
         MajorizationNotVerified: if the witness fails verification.
-        ModulusNotCertified: per :func:`resolve_modulus`.
+        ModulusNotCertified: per :func:`resolve_modulus`, or if
+            ``certificate`` differs from the one resolved for ``spec``.
         DegenerateInterval: if the interval is numerically a point.
     """
     spec.require_inside(x.points)
     spec.require_inside(y.points)
-    result = verify_weighted_majorization(x, y, matrix, tol)
+    result = verify_weighted_majorization(x, y, matrix)
     _require_passed(result)
-    modulus, _ = resolve_modulus(spec, c, certificate)
+    modulus, resolved = resolve_modulus(spec, c)
+    if certificate is not None and certificate != resolved:
+        raise ModulusNotCertified(f"the given certificate is not the one of {spec.name}")
     chain = _chain_links(
         _SideSums(x.points, x.weights, spec), _SideSums(y.points, y.weights, spec), modulus
     )

@@ -54,6 +54,7 @@ from .errors import (
 )
 from .fink import QuadratureConfig, sherman_difference_identity
 from .majorization import (
+    DEFAULT_TOL,
     StochasticMatrix,
     VerificationResult,
     WeightedVector,
@@ -68,8 +69,8 @@ EXIT_PARSE = 2
 EXIT_DOMAIN = 3
 EXIT_QUADRATURE = 4
 
-#: Fixed tolerance of the majorize subcommand, echoed in its reports.
-MAJORIZE_TOL = 1e-9
+#: Fixed tolerance of the majorize subcommand and every witness check, echoed in reports.
+MAJORIZE_TOL = DEFAULT_TOL
 
 #: Identity residuals are accepted up to this multiple of the quad budget.
 RESIDUAL_BUDGET_FACTOR = 10.0
@@ -239,7 +240,6 @@ def _run_chain(config: RunConfig):
     yv = WeightedVector(y, b, interval)
     chain = full_chain(
         xv, yv, matrix, spec, config.modulus,
-        certificate=certificate, tol=MAJORIZE_TOL,
     )
     result = chain.to_dict()
     result["generated_pair"] = generated
@@ -312,7 +312,7 @@ def _run_verify_identity(config: RunConfig):
     certificates: dict[str, Any] = {}
     if "A" in data:
         matrix = StochasticMatrix(_numeric_matrix(data["A"], "A"), "row")
-        verification = verify_weighted_majorization(xv, yv, matrix, MAJORIZE_TOL)
+        verification = verify_weighted_majorization(xv, yv, matrix)
         certificates["majorization"] = _verification_dict(verification)
     quad_cfg = QuadratureConfig(abs_tol=config.quad_tol, rel_tol=config.quad_tol)
     report = sherman_difference_identity(xv, yv, spec, config.order, quad_cfg)

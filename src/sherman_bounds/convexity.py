@@ -270,16 +270,16 @@ def _grid_certificate(key) -> ModulusCertificate:
 def resolve_modulus(
     spec: FunctionSpec,
     c: Optional[float],
-    certificate: Optional[ModulusCertificate] = None,
     *,
     order: int = 2,
 ) -> tuple[float, ModulusCertificate]:
     """Resolve the modulus of order ``order`` a bound uses, certifying it.
 
-    ``c=None`` auto-certifies (or reuses the given certificate) and uses
-    the certified modulus.  An explicit ``c`` may sit anywhere at or
-    below the certified value (a smaller modulus only weakens the bound,
-    which stays valid); exceeding it raises.
+    The certificate is always :func:`estimate_strong_modulus`'s memoized
+    one for ``spec`` and ``order``; no caller can supply one of another
+    spec.  ``c=None`` uses the certified modulus.  An explicit ``c`` may
+    sit anywhere at or below the certified value (a smaller modulus only
+    weakens the bound, which stays valid); exceeding it raises.
 
     Returns:
         ``(modulus, certificate)``.
@@ -291,11 +291,7 @@ def resolve_modulus(
     """
     if c is not None and not (math.isfinite(c) and c >= 0):
         raise ValueError(f"modulus must be finite and nonnegative, got {c}")
-    cert = certificate or estimate_strong_modulus(spec, order)
-    if cert.order != order:
-        raise ModulusNotCertified(
-            f"certificate order {cert.order} does not match required order {order}"
-        )
+    cert = estimate_strong_modulus(spec, order)
     if cert.verdict != "certified":
         raise ModulusNotCertified(
             f"modulus certification for {spec.name} returned {cert.verdict!r} "

@@ -42,6 +42,7 @@ from .convexity import (
     _CatalogEntry,
     _catalog_spec,
     _first_outside,
+    estimate_strong_modulus,
     function_from_name,
     resolve_modulus,
 )
@@ -73,25 +74,32 @@ _NONCONVEX = "nonconvex"
 class DivergenceKernel:
     """A named generator with convexity classification.
 
+    The modulus certificate is not a field: it is derived from the
+    generator, so no kernel can carry the certificate of another spec.
+
     Attributes:
         name: Catalog name, e.g. ``"kl"`` or ``"renyi:2"``.
         generator: The function spec of ``f`` on the ratio interval.
         normalized: True when ``f(1) = 0`` (so ``D_f(p, p) = 0``).
         convexity_class: ``"strongly_convex"``, ``"convex_only"``, or
             ``"nonconvex"``.
-        modulus_certificate: Order-2 certificate; present exactly for
-            strongly convex kernels.
     """
 
     name: str
     generator: FunctionSpec
     normalized: bool
     convexity_class: str
-    modulus_certificate: Optional[ModulusCertificate] = None
 
     @property
     def interval(self) -> tuple[float, float]:
         return self.generator.interval
+
+    @property
+    def modulus_certificate(self) -> Optional[ModulusCertificate]:
+        """The generator's memoized order-2 certificate; None unless strongly convex."""
+        if self.convexity_class != _STRONGLY_CONVEX:
+            return None
+        return estimate_strong_modulus(self.generator, 2)
 
     @property
     def modulus(self) -> Optional[float]:
@@ -203,8 +211,8 @@ def get_kernel(
     Known names: ``kl``, ``hellinger``, ``variational``, ``harmonic``,
     ``bhattacharya``, ``triangular``, ``chi_square``, and ``renyi``
     (``alpha > 1`` via the keyword or a ``renyi:a`` suffix, or both if
-    equal).  Strongly convex kernels get the order-2 modulus certificate
-    of :func:`.convexity.resolve_modulus` on construction.
+    equal).  Strongly convex kernels are certified at order 2 by
+    :func:`.convexity.resolve_modulus` on construction.
 
     Raises:
         ValidationError: on an unknown name, a nonpositive interval, a
@@ -248,16 +256,14 @@ def get_kernel(
     else:
         raise ValidationError(f"unknown divergence kernel {key!r}")
 
-    certificate = None
     if convexity_class == _STRONGLY_CONVEX:
-        _, certificate = resolve_modulus(spec, None)
+        resolve_modulus(spec, None)
     normalized = bool(abs(spec.evaluator(1.0)) <= NORMALIZED_TOL)
     return DivergenceKernel(
         name=key,
         generator=spec,
         normalized=normalized,
         convexity_class=convexity_class,
-        modulus_certificate=certificate,
     )
 
 
@@ -432,7 +438,7 @@ def _aggregated_sandwich(
     # row-stochastic, (bA)_j = p_j S_i R_ij is a to R's validated column sums,
     # and (Ax)_i = S_j (p_j R_ij / b_i)(q_j / p_j) = (Rq)_i / b_i = y_i exactly.
     y = _SideSums(aggregated_ratios, weights, kernel.generator)
-    modulus, _ = resolve_modulus(kernel.generator, c, kernel.modulus_certificate)
+    modulus, _ = resolve_modulus(kernel.generator, c)
     chain = _chain_links(x, y, modulus)
     return DivergenceSandwich(
         kernel_name=kernel.name,

@@ -594,7 +594,7 @@ def higher_order_sherman_bound(
     """Bound the Sherman difference through the order-n identity.
 
     The modulus claim (``f`` n-strongly convex with modulus ``c``; plain
-    n-convexity for ``c = 0``) is checked against the order-n grid
+    n-convexity for ``c = 0``) is checked first, against the order-n grid
     certificate, as in the order-2 chain.  The kernel weight of the pair
     must be one-signed on the interval; dropping the integral of
     ``g^(n) >= 0`` against it then leaves a valid inequality between the
@@ -604,21 +604,19 @@ def higher_order_sherman_bound(
 
     Raises:
         ValueError: unless ``c`` is finite and nonnegative.
-        KernelConditionIndefinite: if the certificate cannot prove one sign.
         ModulusNotCertified: per :func:`.convexity.resolve_modulus`.
+        KernelConditionIndefinite: if the certificate cannot prove one sign.
         MajorizationNotVerified: if either moment condition of
             :func:`sherman_difference_identity` fails.
         MissingDerivative: if derivatives up to order ``n`` are missing.
     """
-    if not (math.isfinite(c) and c >= 0):
-        raise ValueError(f"modulus must be finite and nonnegative, got {c}")
+    resolve_modulus(spec, c, order=n)
     condition = check_kernel_condition(x, y, n, interval=spec.interval)
     if condition.classification == "indefinite":
         raise KernelConditionIndefinite(
             f"kernel weight spans [{condition.min_value}, {condition.max_value}]; "
             "no one-sided bound follows"
         )
-    resolve_modulus(spec, c, order=n)
     lhs, boundary = _difference_terms(x, y, shift_to_convex(spec, n, c), n)
     if condition.classification == "nonnegative":
         holds = lhs >= boundary - BOUND_SLACK

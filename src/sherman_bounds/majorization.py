@@ -50,12 +50,6 @@ def _as_vector(values, label: str) -> np.ndarray:
     return arr
 
 
-def _require_tol(tol: float) -> None:
-    # a NaN or infinite tol would let every comparison against it pass
-    if not (math.isfinite(tol) and tol >= 0):
-        raise ValueError(f"tol must be finite and nonnegative, got {tol}")
-
-
 @dataclass(frozen=True, eq=False)
 class WeightedVector:
     """Points with nonnegative weights, optionally pinned to an interval.
@@ -250,7 +244,9 @@ def majorizes(x, y, tol: float = DEFAULT_TOL, *, with_matrix: bool = False) -> M
         NotMajorized: with ``with_matrix``, if the witness misses ``y``
             by more than ``1e-10 * max(1, max_i |x_i|)``.
     """
-    _require_tol(tol)
+    # a NaN or infinite tol would let every comparison against it pass
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and nonnegative, got {tol}")
     xa = np.asarray(x, dtype=float)
     ya = np.asarray(y, dtype=float)
     if xa.ndim != 1 or ya.ndim != 1 or xa.size != ya.size or xa.size == 0:
@@ -368,7 +364,7 @@ class VerificationResult:
         passed: True when both residuals fall within ``tol``.
         weight_residual: ``max_j |a_j - (b A)_j|``.
         point_residual: ``max_i |y_i - (A x)_i|``.
-        tol: Tolerance the residuals were compared against.
+        tol: Tolerance the residuals were compared against, :data:`DEFAULT_TOL`.
     """
 
     passed: bool
@@ -378,20 +374,18 @@ class VerificationResult:
 
 
 def verify_weighted_majorization(
-    x: WeightedVector, y: WeightedVector, matrix: StochasticMatrix, tol: float = DEFAULT_TOL
+    x: WeightedVector, y: WeightedVector, matrix: StochasticMatrix
 ) -> VerificationResult:
     """Check that ``matrix`` witnesses weighted majorization of ``(y, b)`` by ``(x, a)``.
 
     The witness must be row-stochastic (doubly stochastic also qualifies)
     with shape ``(len(y), len(x))`` and satisfy ``a = b A`` and
-    ``y = A x`` within ``tol`` in the max norm.
+    ``y = A x`` within :data:`DEFAULT_TOL` in the max norm.
 
     Raises:
-        ValueError: unless ``tol`` is finite and nonnegative.
         ValidationError: if ``matrix`` is only column-stochastic.
         DimensionMismatch: if the shape does not match the vectors.
     """
-    _require_tol(tol)
     if matrix.kind == "column":
         raise ValidationError("weighted majorization needs a row-stochastic witness")
     rows, cols = matrix.shape
@@ -402,10 +396,10 @@ def verify_weighted_majorization(
     weight_residual = float(np.abs(x.weights - y.weights @ matrix.entries).max())
     point_residual = float(np.abs(y.points - matrix.entries @ x.points).max())
     return VerificationResult(
-        passed=weight_residual <= tol and point_residual <= tol,
+        passed=weight_residual <= DEFAULT_TOL and point_residual <= DEFAULT_TOL,
         weight_residual=weight_residual,
         point_residual=point_residual,
-        tol=tol,
+        tol=DEFAULT_TOL,
     )
 
 
@@ -413,8 +407,7 @@ def generate_weighted_pair(x, b, matrix: StochasticMatrix) -> tuple[np.ndarray, 
     """Generate ``(y, a)`` so that ``(y, b)`` is weighted-majorized by ``(x, a)``.
 
     Sets ``y = A x`` and ``a = b A``; the result passes
-    :func:`verify_weighted_majorization` at tolerance ``1e-12`` by
-    construction.
+    :func:`verify_weighted_majorization` by construction.
 
     Raises:
         ValidationError: if ``matrix`` is only column-stochastic, or ``b``

@@ -83,10 +83,30 @@ class TestResolveModulus:
         with pytest.raises(ModulusNotCertified, match="modulus 0.75 exceeds certified 0.5 "):
             calls[bound]()
 
-    def test_certificate_order_must_match(self):
-        cert = estimate_strong_modulus(EXP01, 3)
-        with pytest.raises(ModulusNotCertified):
-            resolve_modulus(EXP01, 0.1, cert, order=2)
+    @pytest.mark.parametrize("bound, knob", [
+        ("resolve_modulus", "certificate"), ("jensen_strong", "certificate"),
+        ("lah_ribaric_strong", "certificate"), ("converse_sherman_strong", "certificate"),
+        ("sherman_strong", "certificate"), ("verify_weighted_majorization", "tol"),
+        ("sherman_strong", "tol"), ("full_chain", "tol"),
+    ])
+    def test_takes_no_certificate_or_tolerance(self, bound, knob):
+        # the certificate is the memo's for the spec; a witness is checked at DEFAULT_TOL
+        x, y, witness = random_chain_instance(np.random.default_rng(39), (0.0, 1.0))
+        mean = WeightedVector([0.25, 0.75], [0.5, 0.5])
+        calls = {
+            "resolve_modulus": lambda **kw: resolve_modulus(EXP01, None, **kw),
+            "jensen_strong": lambda **kw: jensen_strong(mean, EXP01, **kw),
+            "lah_ribaric_strong": lambda **kw: lah_ribaric_strong(mean, EXP01, **kw),
+            "converse_sherman_strong": lambda **kw: converse_sherman_strong(x, 1.0, EXP01, **kw),
+            "sherman_strong": lambda **kw: sherman_strong(x, y, EXP01, matrix=witness, **kw),
+            "verify_weighted_majorization":
+                lambda **kw: verify_weighted_majorization(x, y, witness, **kw),
+            "full_chain": lambda **kw: full_chain(x, y, witness, EXP01, **kw),
+        }
+        calls[bound]()
+        value = {"certificate": estimate_strong_modulus(SQUARE01, 2), "tol": 1e300}[knob]
+        with pytest.raises(TypeError, match=knob):
+            calls[bound](**{knob: value})
 
     def test_failed_certification_blocks(self):
         cube = function_from_name("pow:3", (-1.0, 1.0))
@@ -145,9 +165,8 @@ class TestJensen:
         t = np.random.default_rng(33).uniform(0.5, 10.0, 40000)
         split = t[spec.evaluate(t) != np.array([spec.evaluator(v) for v in t.tolist()])][:200]
         assert split.size == 200
-        cert = estimate_strong_modulus(spec, 2)
         for point in split.tolist():
-            bound = jensen_strong(WeightedVector([point], [1.0]), spec, certificate=cert)
+            bound = jensen_strong(WeightedVector([point], [1.0]), spec)
             assert bound.variance_term == 0.0
             assert bound.lhs == bound.rhs == spec.evaluate([point])[0]
 
@@ -177,9 +196,7 @@ class TestLahRibaric:
             raw = rng.uniform(0.1, 1.0, size)
             a = raw / raw.sum()
             pts = rng.uniform(0.1, 3.0, size)
-            bound = lah_ribaric_strong(
-                WeightedVector(pts, a), spec, certificate=cert
-            )
+            bound = lah_ribaric_strong(WeightedVector(pts, a), spec)
             f = spec.evaluator
             xbar = fsum_dot(a, pts)
             chord = ((3.0 - xbar) * f(0.1) + (xbar - 0.1) * f(3.0)) / 2.9
@@ -204,16 +221,6 @@ class TestShermanStrong:
         y = WeightedVector([0.9], [1.0])
         with pytest.raises(MajorizationNotVerified):
             sherman_strong(x, y, SQUARE01, matrix=StochasticMatrix([[0.5, 0.5]], "row"))
-
-    @pytest.mark.parametrize("tol", [math.nan, math.inf])
-    def test_non_finite_tol_rejected(self, tol):
-        x = WeightedVector([0.0, 1.0], [0.5, 0.5])
-        y = WeightedVector([0.9], [1.0])  # the witness misses y by 0.4
-        matrix = StochasticMatrix([[0.5, 0.5]], "row")
-        with pytest.raises(ValueError, match="tol"):
-            sherman_strong(x, y, SQUARE01, matrix=matrix, tol=tol)
-        with pytest.raises(ValueError, match="tol"):
-            full_chain(x, y, matrix, SQUARE01, tol=tol)
 
     def test_square_at_full_modulus_is_tight(self):
         rng = np.random.default_rng(23)
@@ -300,7 +307,7 @@ class TestFullChain:
             cert = estimate_strong_modulus(spec, 2)
             for _ in range(40):
                 x, y, witness = random_chain_instance(rng, interval)
-                chain = full_chain(x, y, witness, spec, certificate=cert)
+                chain = full_chain(x, y, witness, spec)
                 assert chain.chain_holds
                 lhs, strong, plain, converse = chain_oracle(
                     x.points, x.weights, y.points, y.weights,
@@ -396,6 +403,21 @@ class TestFullChain:
         with pytest.raises(ModulusNotCertified):
             full_chain(x, y, witness, EXP01, 0.9)
 
+    def test_foreign_certificate_refused(self):
+        # square's certificate (modulus 1) for xlogx on [0.1, 3] (modulus 1/6)
+        # would put the strong bound at -0.570, below the lhs of 0.679
+        spec = function_from_name("xlogx", (0.1, 3.0))
+        x = WeightedVector([0.1, 3.0], [0.5, 0.5])
+        y = WeightedVector([1.55], [1.0])
+        witness = StochasticMatrix([[0.5, 0.5]], "row")
+        square = estimate_strong_modulus(function_from_name("square", (0.1, 3.0)), 2)
+        with pytest.raises(ModulusNotCertified, match="not the one of xlogx"):
+            full_chain(x, y, witness, spec, certificate=square)
+        chain = full_chain(x, y, witness, spec)
+        assert abs(chain.modulus - 1.0 / 6.0) <= 1e-15
+        assert chain.chain_holds
+        assert full_chain(x, y, witness, spec, certificate=estimate_strong_modulus(spec, 2)) == chain
+
     def test_degenerate_interval_rejected(self):
         spec = function_from_name("exp", (0.5, 0.5 + 5e-15))
         x = WeightedVector([0.5], [1.0])
@@ -406,8 +428,8 @@ class TestFullChain:
     def test_carries_its_witness_check(self):
         rng = np.random.default_rng(37)
         x, y, witness = random_chain_instance(rng, (0.0, 1.0))
-        chain = full_chain(x, y, witness, EXP01, tol=1e-10)
-        assert chain.verification == verify_weighted_majorization(x, y, witness, 1e-10)
+        chain = full_chain(x, y, witness, EXP01)
+        assert chain.verification == verify_weighted_majorization(x, y, witness)
         assert "verification" not in chain.to_dict()
 
     def test_to_dict_is_flat_and_complete(self):

@@ -114,8 +114,7 @@ class TestChainCommand:
         spec = function_from_name("exp", (0.0, 1.0))
         cert = estimate_strong_modulus(spec, 2)
         chain = full_chain(
-            WeightedVector(x, a, (0.0, 1.0)), WeightedVector(y, b, (0.0, 1.0)),
-            matrix, spec, certificate=cert, tol=1e-9,
+            WeightedVector(x, a, (0.0, 1.0)), WeightedVector(y, b, (0.0, 1.0)), matrix, spec
         )
         for key in ("lhs", "strong_bound", "plain_bound", "converse_bound", "modulus"):
             assert report["result"][key] == getattr(chain, key)

@@ -25,7 +25,9 @@ from sherman_bounds import (
     catalog,
     csiszar_divergence,
     divergence_bounds,
+    estimate_strong_modulus,
     full_chain,
+    function_from_name,
     get_kernel,
     kl_divergence,
     shannon_entropy,
@@ -115,6 +117,15 @@ class TestCatalog:
         normalized = {"kl", "hellinger", "variational", "triangular", "chi_square"}
         for name, kernel in kernels.items():
             assert kernel.normalized == (name in normalized)
+
+    def test_certificate_is_derived_from_the_generator(self):
+        kernel = get_kernel("kl")
+        assert kernel.modulus_certificate is estimate_strong_modulus(kernel.generator, 2)
+        assert get_kernel("variational").modulus_certificate is None
+        # a kernel cannot be given another spec's certificate
+        square = estimate_strong_modulus(function_from_name("square", (0.1, 3.0)), 2)
+        with pytest.raises(TypeError, match="modulus_certificate"):
+            replace(get_kernel("kl", (0.1, 3.0)), modulus_certificate=square)
 
     def test_generator_spot_values(self):
         expected = {
@@ -448,10 +459,8 @@ class TestFactoredWitnessCheck:
             dense = StochasticMatrix(pair.p[None, :] * merge.entries / b[:, None], "row")
             x = WeightedVector(pair.ratios, pair.p)
             y = WeightedVector((merge.entries @ pair.q) / b, b)
-            assert verify_weighted_majorization(x, y, dense, 1e-9).passed
-            chain = full_chain(
-                x, y, dense, kernel.generator, certificate=kernel.modulus_certificate
-            )
+            assert verify_weighted_majorization(x, y, dense).passed
+            chain = full_chain(x, y, dense, kernel.generator)
             assert chain.lhs == s.lower_ck
             assert chain.lhs + chain.correction_quadratic == s.lower_strong
             assert chain.plain_bound == s.value

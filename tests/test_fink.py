@@ -622,6 +622,17 @@ class TestHigherOrderBound:
         with pytest.raises(KernelConditionIndefinite):
             higher_order_sherman_bound(x, y, EXP01, 3, 0.0)
 
+    def test_modulus_is_resolved_before_the_kernel_sign(self):
+        # the kernel weight of this pair is indefinite at n = 3
+        x, y, _ = random_chain_instance(np.random.default_rng(0), (0.0, 1.0))
+        with pytest.raises(ValueError, match="modulus must be finite"):
+            higher_order_sherman_bound(x, y, EXP01, 3, math.nan)
+        with pytest.raises(ModulusNotCertified, match="exceeds certified"):
+            higher_order_sherman_bound(x, y, EXP01, 3, 1.0)
+        two = FunctionSpec("f", math.exp, (math.exp, math.exp), (0.0, 1.0))
+        with pytest.raises(MissingDerivative):
+            higher_order_sherman_bound(x, y, two, 3, 0.0)
+
     def test_certificate_refuses_inflated_modulus(self):
         # exp on [0, 1] has the certified order-2 modulus 1/2 < 2
         rng = np.random.default_rng(46)
