@@ -44,6 +44,7 @@ from .errors import (
     WeightsNotNormalized,
 )
 from .majorization import (
+    DEFAULT_TOL,
     StochasticMatrix,
     VerificationResult,
     WeightedVector,
@@ -133,7 +134,7 @@ def _require_passed(result: VerificationResult) -> None:
     if not result.passed:
         raise MajorizationNotVerified(
             f"witness residuals (weights {result.weight_residual}, "
-            f"points {result.point_residual}) exceed {result.tol}"
+            f"points {result.point_residual}) exceed {DEFAULT_TOL}"
         )
 
 
@@ -290,7 +291,7 @@ def sherman_strong(
     spec: FunctionSpec,
     c: Optional[float] = None,
     *,
-    matrix: Optional[StochasticMatrix] = None,
+    matrix: StochasticMatrix,
 ) -> ShermanBound:
     """Strongly convex majorization bound ``S_b f(y) <= S_a f(x) - c*(S_a x^2 - S_b y^2)``.
 
@@ -299,13 +300,11 @@ def sherman_strong(
     :data:`.majorization.DEFAULT_TOL`.
 
     Raises:
-        MajorizationNotVerified: if no witness is given or it fails to verify.
+        MajorizationNotVerified: if the witness fails to verify.
         ModulusNotCertified: per :func:`resolve_modulus`.
     """
     spec.require_inside(x.points)
     spec.require_inside(y.points)
-    if matrix is None:
-        raise MajorizationNotVerified("pass a stochastic witness matrix")
     _require_passed(verify_weighted_majorization(x, y, matrix))
     modulus, _ = resolve_modulus(spec, c)
     lhs, strong, plain, correction = _sherman_link(

@@ -34,7 +34,6 @@ import numpy as np
 
 from .bounds import CHAIN_SLACK, full_chain
 from .convexity import (
-    DEFAULT_MODULUS_GRID,
     ModulusCertificate,
     estimate_strong_modulus,
     function_from_name,
@@ -198,7 +197,8 @@ def _cert_dict(cert: ModulusCertificate) -> dict:
 
 
 def _verification_dict(result: VerificationResult) -> dict:
-    return {key: getattr(result, key) for key in ("weight_residual", "point_residual", "tol")}
+    return {"weight_residual": result.weight_residual, "point_residual": result.point_residual,
+            "tol": MAJORIZE_TOL}
 
 
 def _hull_interval(config: RunConfig, points: np.ndarray) -> tuple[float, float]:
@@ -343,7 +343,6 @@ def _report(config: RunConfig, **fields: Any) -> dict:
         "modulus": "auto" if config.modulus is None else config.modulus,
         "order": config.order,
         "quad_tol": config.quad_tol,
-        "grid": DEFAULT_MODULUS_GRID,
         "chain_slack": CHAIN_SLACK,
         "majorize_tol": MAJORIZE_TOL,
         "residual_budget_factor": RESIDUAL_BUDGET_FACTOR,
@@ -417,7 +416,7 @@ _OPTIONS = {
     "--interval": dict(type=_interval_argument, metavar="A,B",
                        help="working interval; defaults to the data hull"),
     "--modulus": dict(type=_modulus_argument, metavar="AUTO|C",
-                      help="strong-convexity modulus; 'auto' (default) certifies from a grid"),
+                      help="strong-convexity modulus; 'auto' (default) certifies it"),
     "--order": dict(type=_order_argument, help="identity order n"),
     "--quad-tol": dict(type=_positive_float, help="absolute quadrature budget"),
 }

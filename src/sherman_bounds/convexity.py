@@ -6,10 +6,10 @@ defined on.  On top of that this module provides
 
 * divided differences with repeated nodes (``[z,...,z; f]`` of ``j+1``
   copies resolves to ``f^(j)(z)/j!``),
-* grid certification of the strong-convexity modulus of order ``n``
-  (the largest ``c`` with ``f^(n) >= c * n!`` on the interval, i.e. the
-  largest ``c`` such that ``f(t) - c*t^n`` stays n-convex), from which
-  :func:`resolve_modulus` certifies the modulus of every bound,
+* the strong-convexity modulus of order ``n`` (the largest ``c`` with
+  ``f^(n) >= c * n!`` on the interval, i.e. the largest ``c`` such that
+  ``f(t) - c*t^n`` stays n-convex), from which :func:`resolve_modulus`
+  takes the modulus of every bound,
 * refutation-only sampling checks of n-convexity via random divided
   differences, and
 * the shift ``f -> f - c*t^n`` that turns an n-strongly convex function
@@ -25,9 +25,8 @@ builder turns an entry into a spec with exactly the requested derivatives.
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -46,7 +45,7 @@ Evaluator = Callable[[float], float]
 #: Divided differences this close to zero (or to the modulus) count as ties.
 DIVIDED_DIFFERENCE_TOL = 1e-10
 
-#: Number of grid nodes of every modulus certificate.
+#: Number of grid nodes of the modulus sampled for a user callable.
 DEFAULT_MODULUS_GRID = 10001
 
 #: An explicit modulus may exceed the certified one by at most this much.
@@ -76,6 +75,8 @@ class FunctionSpec:
     evaluator: Evaluator
     derivatives: tuple[Evaluator, ...]
     interval: tuple[float, float]
+    # where every derivative is smallest; set for catalog specs only, dropped by replace()
+    _min_nodes: Optional[tuple[float, ...]] = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         lo, hi = float(self.interval[0]), float(self.interval[1])
@@ -207,16 +208,18 @@ def _divided_differences(nodes: np.ndarray, spec: FunctionSpec) -> np.ndarray:
 
 @dataclass(frozen=True, slots=True)
 class ModulusCertificate:
-    """Outcome of grid certification of a strong-convexity modulus.
+    """Outcome of the certification of a strong-convexity modulus.
 
     Attributes:
         order: Convexity order ``n`` the certificate refers to.
-        modulus: Certified modulus, ``max(0, min f^(n)/n! over the grid)``.
-        grid_size: Number of grid nodes inspected (endpoints included).
-        verdict: ``"certified"`` when the grid minimum is nonnegative,
-            ``"failed"`` when it is negative (then ``modulus == 0``),
-            ``"indeterminate"`` when a non-finite value appeared.
-        grid_min: Raw grid minimum of ``f^(n)/n!`` (NaN if indeterminate).
+        modulus: ``max(0, min f^(n)/n!)`` over the nodes evaluated.
+        grid_size: Number of nodes evaluated: 2 or 3 for a catalog spec,
+            :data:`DEFAULT_MODULUS_GRID` for a user callable.
+        verdict: ``"certified"`` (catalog) or ``"sampled"`` (user callable)
+            when the minimum is nonnegative, ``"failed"`` when it is
+            negative (then ``modulus == 0``), ``"indeterminate"`` when a
+            non-finite value appeared.
+        grid_min: Raw minimum of ``f^(n)/n!`` (NaN if indeterminate).
     """
 
     order: int
@@ -227,18 +230,17 @@ class ModulusCertificate:
 
 
 def estimate_strong_modulus(spec: FunctionSpec, n: int) -> ModulusCertificate:
-    """Certify a modulus of n-strong convexity from an endpoint-inclusive grid.
+    """The modulus of n-strong convexity: ``max(0, min f^(n)(t)/n!)`` over nodes.
 
-    The returned modulus is ``max(0, min f^(n)(t)/n!)`` over
-    :data:`DEFAULT_MODULUS_GRID` evenly spaced nodes.  For functions whose
-    n-th derivative is monotone or has interior minima resolved by the
-    grid this equals the exact modulus up to grid resolution.
-
-    Certificates are memoized per spec and order (the last 128), so the
-    same spec returns the same certificate object and its grid is
-    evaluated once per process; the spec's callables must therefore be
-    pure.  A spec that holds an unhashable callable is certified afresh on
-    every call.  Errors are not memoized.
+    A catalog spec is evaluated at the nodes where its n-th derivative is
+    smallest, so its nonnegative minimum is ``"certified"``: by the
+    mean-value theorem for divided differences, ``[x_0..x_n; f] =
+    f^(n)(xi)/n!`` is at least that minimum.  It is exact up to the
+    rounding of one evaluation of ``f^(n)`` at a node and of the division
+    by ``n!``.  A user callable is evaluated on
+    :data:`DEFAULT_MODULUS_GRID` evenly spaced nodes, endpoints included;
+    a minimum between two nodes escapes the grid, so its nonnegative
+    minimum is only ``"sampled"``.
 
     Raises:
         MissingDerivative: if ``spec`` lacks the n-th derivative.
@@ -246,25 +248,15 @@ def estimate_strong_modulus(spec: FunctionSpec, n: int) -> ModulusCertificate:
     """
     if n < 1:
         raise ValueError(f"order must be >= 1, got {n}")
-    # The hex ends tell apart the signed zeros that == identifies.
-    key = (spec, n, spec.alpha.hex(), spec.beta.hex())
-    try:
-        hash(key)
-    except TypeError:  # a callable with __eq__ but no __hash__
-        return _grid_certificate.__wrapped__(key)
-    return _grid_certificate(key)
-
-
-@functools.lru_cache(maxsize=128)
-def _grid_certificate(key) -> ModulusCertificate:
-    spec, n = key[:2]
-    grid = np.linspace(spec.alpha, spec.beta, DEFAULT_MODULUS_GRID)
-    vals = spec.evaluate(grid, n) / math.factorial(n)
+    nodes, verdict = spec._min_nodes, "certified"
+    if nodes is None:
+        nodes, verdict = np.linspace(spec.alpha, spec.beta, DEFAULT_MODULUS_GRID), "sampled"
+    vals = spec.evaluate(nodes, n) / math.factorial(n)
     if not np.all(np.isfinite(vals)):
-        return ModulusCertificate(n, 0.0, grid.size, "indeterminate", float("nan"))
+        return ModulusCertificate(n, 0.0, len(nodes), "indeterminate", float("nan"))
     gmin = float(vals.min())
-    verdict = "certified" if gmin >= 0.0 else "failed"
-    return ModulusCertificate(n, max(0.0, gmin), grid.size, verdict, gmin)
+    verdict = verdict if gmin >= 0.0 else "failed"
+    return ModulusCertificate(n, max(0.0, gmin), len(nodes), verdict, gmin)
 
 
 def resolve_modulus(
@@ -275,11 +267,11 @@ def resolve_modulus(
 ) -> tuple[float, ModulusCertificate]:
     """Resolve the modulus of order ``order`` a bound uses, certifying it.
 
-    The certificate is always :func:`estimate_strong_modulus`'s memoized
-    one for ``spec`` and ``order``; no caller can supply one of another
-    spec.  ``c=None`` uses the certified modulus.  An explicit ``c`` may
-    sit anywhere at or below the certified value (a smaller modulus only
-    weakens the bound, which stays valid); exceeding it raises.
+    The certificate is always :func:`estimate_strong_modulus`'s for
+    ``spec`` and ``order``, ``"certified"`` or (for a user callable)
+    ``"sampled"``; no caller can supply one.  ``c=None`` uses its modulus.
+    An explicit ``c`` may sit anywhere at or below it (a smaller modulus
+    only weakens the bound, which stays valid); exceeding it raises.
 
     Returns:
         ``(modulus, certificate)``.
@@ -292,10 +284,10 @@ def resolve_modulus(
     if c is not None and not (math.isfinite(c) and c >= 0):
         raise ValueError(f"modulus must be finite and nonnegative, got {c}")
     cert = estimate_strong_modulus(spec, order)
-    if cert.verdict != "certified":
+    if cert.verdict not in ("certified", "sampled"):
         raise ModulusNotCertified(
             f"modulus certification for {spec.name} returned {cert.verdict!r} "
-            f"(grid minimum {cert.grid_min})"
+            f"(minimum {cert.grid_min})"
         )
     if c is None:
         return cert.modulus, cert
@@ -499,6 +491,7 @@ def _catalog_spec(name: str, entry: _CatalogEntry, interval, order: int) -> Func
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
     count = order + 1 - entry.lag
+    shift = math.nan  # no interior node
     if entry.law is None:
         terms = []
     elif entry.law == "exp":
@@ -507,10 +500,16 @@ def _catalog_spec(name: str, entry: _CatalogEntry, interval, order: int) -> Func
         scale, exponent, shift = entry.law
         terms = _power_terms(scale, exponent, count, shift)
     derivs = entry.low[:order] + tuple(terms[len(entry.low) + 1 - entry.lag:])
-    return FunctionSpec(name, entry.f or terms[0], derivs, tuple(interval))
+    spec = FunctionSpec(name, entry.f or terms[0], derivs, tuple(interval))
+    lo, hi = spec.interval
+    object.__setattr__(spec, "_min_nodes", (lo, -shift, hi) if lo < -shift < hi else (lo, hi))
+    return spec
 
 
-#: The named functions; ``pow:a`` builds its entry from the exponent.
+#: The named functions; ``pow:a`` builds its entry from the exponent.  Every derivative
+#: of an entry here or in ``divergence._GENERATORS`` is smallest at an end or at ``t = -shift``,
+#: the nodes of its certificate: a law term ``s*u**p`` (``u = t + shift``) is monotone on each
+#: side of ``u = 0``, ``exp`` increases, and so does each hand-written ``f'`` (``log t + 1`` here).
 _FUNCTIONS = {
     "square": _CatalogEntry(lambda t: t * t, (1.0, 2.0, -0.0)),  # t*t: the c=1 shift cancels bitwise
     "linear": _CatalogEntry(None, (1.0, 1.0, -0.0)),

@@ -29,7 +29,7 @@ Kullback-Leibler divergence are provided directly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -96,7 +96,7 @@ class DivergenceKernel:
 
     @property
     def modulus_certificate(self) -> Optional[ModulusCertificate]:
-        """The generator's memoized order-2 certificate; None unless strongly convex."""
+        """The generator's order-2 certificate; None unless strongly convex."""
         if self.convexity_class != _STRONGLY_CONVEX:
             return None
         return estimate_strong_modulus(self.generator, 2)
@@ -183,7 +183,8 @@ def _hellinger(t: float) -> float:
 
 
 #: Every generator but ``kl`` and ``renyi``, which reuse ``xlogx`` and ``pow:a``,
-#: with its convexity class, in the order of :func:`catalog`.
+#: with its convexity class, in the order of :func:`catalog`.  ``convexity._FUNCTIONS``'s
+#: minimum rule holds: the ``f'`` of hellinger and of triangular increase.
 _GENERATORS = {
     # orders >= 2 of -sqrt(t)
     "hellinger": (_CatalogEntry(_hellinger, (-1.0, 0.5, -0.0),
@@ -218,7 +219,7 @@ def get_kernel(
         ValidationError: on an unknown name, a nonpositive interval, a
             Renyi exponent not above one or not finite, or an ``alpha`` it
             would ignore.
-        ModulusNotCertified: if grid certification unexpectedly fails.
+        ModulusNotCertified: if certification unexpectedly fails.
     """
     key = name.strip().lower().replace("-", "_")
     if interval is None:
@@ -244,7 +245,9 @@ def get_kernel(
         if alpha == math.inf:
             raise ValidationError(f"renyi exponent must be finite, got {alpha}")
         key = f"renyi:{alpha:g}"
-        spec = replace(function_from_name(f"pow:{alpha}", interval), name=key)
+        # the pow:a entry under the kernel's name; replace() would drop its nodes
+        entry = _CatalogEntry(None, (1.0, float(alpha), -0.0))
+        spec = _catalog_spec(key, entry, interval, CATALOG_ORDER)
         convexity_class = _STRONGLY_CONVEX
     elif alpha is not None:
         raise ValidationError(f"alpha applies to the renyi kernel only, not {name!r}")
@@ -394,7 +397,20 @@ def aggregated_divergence_bounds(
         RatioOutOfDomain: if a ratio leaves the generator's interval.
         DimensionMismatch: if the matrix width differs from the pair.
     """
-    return _aggregated_sandwich(pair, matrix.entries, matrix.kind, kernel, c)
+    if matrix.kind == "row":
+        raise ValidationError("aggregation needs a column-stochastic matrix")
+    cols = matrix.shape[1]
+    if cols != pair.size:
+        raise DimensionMismatch(
+            f"aggregation matrix has {cols} columns for {pair.size} outcomes"
+        )
+    weights = matrix.entries @ pair.p
+    if np.any(weights <= 0.0):
+        raise ZeroAggregateWeight("an aggregation row carries zero probability mass")
+    # A = pR/b needs no check: R >= 0 and b = Rp > 0 make it nonnegative and
+    # row-stochastic, (bA)_j = p_j S_i R_ij is a to R's validated column sums,
+    # and (Ax)_i = S_j (p_j R_ij / b_i)(q_j / p_j) = (Rq)_i / b_i = y_i exactly.
+    return _aggregated_sandwich(pair, weights, (matrix.entries @ pair.q) / weights, kernel, c)
 
 
 def divergence_bounds(
@@ -408,35 +424,24 @@ def divergence_bounds(
     classical total-mass bound ``S_j p_j * f(S q / S p)``.  See
     :func:`aggregated_divergence_bounds` for arguments and errors.
     """
-    return _aggregated_sandwich(pair, np.ones((1, pair.size)), "column", kernel, c)
+    with np.errstate(over="ignore"):  # an overflowing total fails the ratio check
+        total = pair.p.sum()
+        ratio = pair.q.sum() / total
+    return _aggregated_sandwich(pair, np.array([total]), np.array([ratio]), kernel, c)
 
 
 def _aggregated_sandwich(
-    pair: DistributionPair, entries: np.ndarray, kind: str,
+    pair: DistributionPair, weights: np.ndarray, aggregated_ratios: np.ndarray,
     kernel: DivergenceKernel, c: Optional[float],
 ) -> DivergenceSandwich:
-    """The body of :func:`aggregated_divergence_bounds` for validated ``entries``."""
+    """The sandwich of a strongly convex kernel at the aggregated ``weights`` and ratios."""
     if kernel.convexity_class != _STRONGLY_CONVEX:
         raise ModulusNotCertified(
             f"kernel {kernel.name} is {kernel.convexity_class}; "
             "two-sided bounds need a certified strong-convexity modulus"
         )
-    if kind == "row":
-        raise ValidationError("aggregation needs a column-stochastic matrix")
-    cols = entries.shape[1]
-    if cols != pair.size:
-        raise DimensionMismatch(
-            f"aggregation matrix has {cols} columns for {pair.size} outcomes"
-        )
-    weights = entries @ pair.p
-    if np.any(weights <= 0.0):
-        raise ZeroAggregateWeight("an aggregation row carries zero probability mass")
-    aggregated_ratios = (entries @ pair.q) / weights
     x = pair._majorant_sums(kernel)
     _require_ratios_inside(aggregated_ratios, kernel)
-    # A = pR/b needs no check: R >= 0 and b = Rp > 0 make it nonnegative and
-    # row-stochastic, (bA)_j = p_j S_i R_ij is a to R's validated column sums,
-    # and (Ax)_i = S_j (p_j R_ij / b_i)(q_j / p_j) = (Rq)_i / b_i = y_i exactly.
     y = _SideSums(aggregated_ratios, weights, kernel.generator)
     modulus, _ = resolve_modulus(kernel.generator, c)
     chain = _chain_links(x, y, modulus)

@@ -594,7 +594,7 @@ def higher_order_sherman_bound(
     """Bound the Sherman difference through the order-n identity.
 
     The modulus claim (``f`` n-strongly convex with modulus ``c``; plain
-    n-convexity for ``c = 0``) is checked first, against the order-n grid
+    n-convexity for ``c = 0``) is checked first, against the order-n
     certificate, as in the order-2 chain.  The kernel weight of the pair
     must be one-signed on the interval; dropping the integral of
     ``g^(n) >= 0`` against it then leaves a valid inequality between the

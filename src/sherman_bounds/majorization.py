@@ -361,16 +361,14 @@ class VerificationResult:
     """Residuals of a weighted-majorization witness check.
 
     Attributes:
-        passed: True when both residuals fall within ``tol``.
+        passed: True when both residuals fall within :data:`DEFAULT_TOL`.
         weight_residual: ``max_j |a_j - (b A)_j|``.
         point_residual: ``max_i |y_i - (A x)_i|``.
-        tol: Tolerance the residuals were compared against, :data:`DEFAULT_TOL`.
     """
 
     passed: bool
     weight_residual: float
     point_residual: float
-    tol: float
 
 
 def verify_weighted_majorization(
@@ -399,7 +397,6 @@ def verify_weighted_majorization(
         passed=weight_residual <= DEFAULT_TOL and point_residual <= DEFAULT_TOL,
         weight_residual=weight_residual,
         point_residual=point_residual,
-        tol=DEFAULT_TOL,
     )
 
 

@@ -90,7 +90,7 @@ class TestResolveModulus:
         ("sherman_strong", "tol"), ("full_chain", "tol"),
     ])
     def test_takes_no_certificate_or_tolerance(self, bound, knob):
-        # the certificate is the memo's for the spec; a witness is checked at DEFAULT_TOL
+        # the certificate is the spec's own; a witness is checked at DEFAULT_TOL
         x, y, witness = random_chain_instance(np.random.default_rng(39), (0.0, 1.0))
         mean = WeightedVector([0.25, 0.75], [0.5, 0.5])
         calls = {
@@ -211,7 +211,7 @@ class TestShermanStrong:
     def test_requires_witness(self):
         x = WeightedVector([0.0, 1.0], [0.5, 0.5])
         y = WeightedVector([0.5], [1.0])
-        with pytest.raises(MajorizationNotVerified):
+        with pytest.raises(TypeError, match="matrix"):
             sherman_strong(x, y, SQUARE01)
         bound = sherman_strong(x, y, SQUARE01, matrix=StochasticMatrix([[0.5, 0.5]], "row"))
         assert bound.lhs <= bound.strong_bound + CHAIN_SLACK
@@ -300,6 +300,15 @@ class TestConverse:
 
 
 class TestFullChain:
+    def test_interior_zero_of_the_derivative_gives_modulus_zero(self):
+        # f'' = 12 t^2 vanishes at 0, inside (-1, 0.3) but between grid nodes
+        spec = function_from_name("pow:4", (-1.0, 0.3))
+        x = WeightedVector([-1e-5, 1e-5], [1.0, 1.0])
+        y = WeightedVector([0.0], [2.0])
+        chain = full_chain(x, y, StochasticMatrix([[0.5, 0.5]], "row"), spec)
+        assert chain.modulus == 0.0
+        assert chain.lhs <= chain.strong_bound
+
     def test_catalog_chains_hold_and_match_oracle(self):
         rng = np.random.default_rng(28)
         for name, interval in KERNELS:

@@ -1,7 +1,8 @@
 """Divided differences, modulus certification, and the function catalog."""
 
+import importlib.util
 import math
-from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,11 +21,12 @@ from sherman_bounds import (
     divided_difference,
     estimate_strong_modulus,
     function_from_name,
+    get_kernel,
     is_n_convex,
     is_n_strongly_convex,
     shift_to_convex,
 )
-from sherman_bounds.convexity import CATALOG_ORDER
+from sherman_bounds.convexity import CATALOG_ORDER, DEFAULT_MODULUS_GRID
 from helpers import dd_recursive
 
 EXP03 = function_from_name("exp", (0.0, 3.0))
@@ -178,6 +180,70 @@ class TestModulusCertification:
         with pytest.raises(ValueError):
             estimate_strong_modulus(SQUARE01, 0)
 
+    @pytest.mark.parametrize("interval", [(-1.0, 0.3), (-0.7, 2.0)])
+    def test_quartic_with_zero_between_grid_nodes(self, interval):
+        # f'' = 12 t^2 vanishes at 0, which no node of a 10,001-node grid hits
+        cert = estimate_strong_modulus(function_from_name("pow:4", interval), 2)
+        assert cert.verdict == "certified"
+        assert cert.modulus == 0.0
+
+    def test_user_callable_minimum_between_grid_nodes_is_only_sampled(self):
+        # f'' = (t - t0)^2 with t0 between two grid nodes: the grid misses its zero
+        t0 = 0.5 + 0.3 / (DEFAULT_MODULUS_GRID - 1)
+        spec = FunctionSpec("f", lambda t: (t - t0) ** 4 / 12.0,
+                            (lambda t: (t - t0) ** 3 / 3.0, lambda t: (t - t0) ** 2), (0.0, 1.0))
+        cert = estimate_strong_modulus(spec, 2)
+        assert cert.verdict == "sampled"
+        assert cert.modulus > 0.0  # above the true modulus 0, so never "certified"
+        assert cert.grid_size == DEFAULT_MODULUS_GRID
+
+
+def load_oracles():
+    path = Path(__file__).resolve().parents[1] / "bench" / "oracles.py"
+    spec = importlib.util.spec_from_file_location("bench_oracles", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+ORACLES = load_oracles()
+
+SIGNED_INTERVALS = [(-1.0, 0.3), (-0.7, 2.0), (-3.0, -0.5), (0.0, 1.0)]
+POSITIVE_INTERVALS = [(0.1, 10.0), (0.5, 2.0), (1e-3, 1.0), (3.0, 3.5)]
+SIGNED_FUNCTIONS = ["square", "linear", "exp", "pow:0", "pow:2", "pow:3", "pow:4", "pow:5"]
+POSITIVE_FUNCTIONS = ["xlogx", "neg_log", "pow:0.5", "pow:2.5", "pow:-1", "pow:-2"]
+KERNEL_NAMES = ["kl", "hellinger", "harmonic", "bhattacharya", "triangular", "chi_square",
+                "renyi:2", "renyi:1.5", "renyi:3"]
+
+
+def node_cases():
+    for interval in SIGNED_INTERVALS + POSITIVE_INTERVALS:
+        for name in SIGNED_FUNCTIONS:
+            yield name, interval, function_from_name(name, interval)
+    for interval in POSITIVE_INTERVALS:
+        for name in POSITIVE_FUNCTIONS:
+            yield name, interval, function_from_name(name, interval)
+        for name in KERNEL_NAMES:
+            yield name, interval, get_kernel(name, interval).generator
+
+
+class TestCatalogNodes:
+    """Every catalog modulus is certified at the nodes where its derivative is smallest."""
+
+    @pytest.mark.parametrize("name, interval, spec", [
+        pytest.param(*case, id=f"{case[0]}-{case[1][0]}-{case[1][1]}") for case in node_cases()
+    ])
+    def test_no_dense_value_lies_below_the_node_minimum(self, name, interval, spec):
+        dense = np.linspace(*interval, 100001)
+        for n in range(1, CATALOG_ORDER + 1):
+            cert = estimate_strong_modulus(spec, n)
+            assert cert.verdict in ("certified", "failed"), (n, cert)
+            assert cert.grid_size <= 3
+            values = spec.evaluate(dense, n) / math.factorial(n)
+            assert values.min() >= cert.grid_min - 4 * np.spacing(abs(cert.grid_min)), n
+            if n == 2 and name in ORACLES.FUNCTIONS and interval[0] > 0.0:
+                assert ORACLES.check_modulus(name, cert.modulus, *interval) == []
+
 
 class CountingSecond:
     """``f'' = 2``, counting its calls."""
@@ -200,37 +266,13 @@ class TestCertificateMemo:
     def spec(second, interval=(0.0, 1.0)):
         return FunctionSpec("sq", lambda t: t * t, (lambda t: 2.0 * t, second), interval)
 
-    def test_same_spec_same_certificate_object(self):
-        second = CountingSecond()
-        spec = self.spec(second)
-        cert = estimate_strong_modulus(spec, 2)
-        assert estimate_strong_modulus(spec, 2) is cert
-        assert second.calls == 1  # the grid is evaluated once
-        assert cert == ModulusCertificate(2, 1.0, 10001, "certified", 1.0)
-
-    def test_equal_spec_shares_the_entry(self):
-        spec = self.spec(CountingSecond())
-        assert estimate_strong_modulus(replace(spec), 2) is estimate_strong_modulus(spec, 2)
-
-    def test_other_interval_or_order_gets_its_own_entry(self):
-        second = CountingSecond()
-        spec = self.spec(second)
-        wide = replace(spec, interval=(0.0, 2.0))
-        cert = estimate_strong_modulus(spec, 2)
-        assert estimate_strong_modulus(wide, 2) is not cert
-        assert estimate_strong_modulus(spec, 1) is not cert
-        assert estimate_strong_modulus(spec, 1).order == 1
-        assert second.calls == 2  # orders 2 on two intervals
-        signed = replace(spec, interval=(-0.0, 1.0))
-        assert signed == spec and estimate_strong_modulus(signed, 2) is not cert
-
     def test_unhashable_callable_is_certified_without_the_memo(self):
         second = UnhashableSecond()
         spec = self.spec(second)
         with pytest.raises(TypeError):
             hash(spec)
         first, again = estimate_strong_modulus(spec, 2), estimate_strong_modulus(spec, 2)
-        assert first == again == ModulusCertificate(2, 1.0, 10001, "certified", 1.0)
+        assert first == again == ModulusCertificate(2, 1.0, DEFAULT_MODULUS_GRID, "sampled", 1.0)
         assert second.calls == 2
 
     def test_errors_are_not_memoized(self):

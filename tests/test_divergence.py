@@ -120,7 +120,7 @@ class TestCatalog:
 
     def test_certificate_is_derived_from_the_generator(self):
         kernel = get_kernel("kl")
-        assert kernel.modulus_certificate is estimate_strong_modulus(kernel.generator, 2)
+        assert kernel.modulus_certificate == estimate_strong_modulus(kernel.generator, 2)
         assert get_kernel("variational").modulus_certificate is None
         # a kernel cannot be given another spec's certificate
         square = estimate_strong_modulus(function_from_name("square", (0.1, 3.0)), 2)
