@@ -275,6 +275,25 @@ def converse_sherman_strong(
     return _converse_link(_SideSums(x.points, x.weights, spec), total_weight, modulus)[0]
 
 
+def _chain_premises(
+    x: WeightedVector, y: WeightedVector, matrix: StochasticMatrix, spec: FunctionSpec,
+    c: Optional[float],
+) -> tuple[VerificationResult, float, ModulusCertificate, _SideSums, _SideSums]:
+    """Check the premises of the Sherman link and return what the links read.
+
+    In order: both sides lie inside the interval, the witness verifies, the
+    modulus resolves.  Returns the witness check, the modulus, its
+    certificate and both sides' sums.
+    """
+    spec.require_inside(x.points)
+    spec.require_inside(y.points)
+    result = verify_weighted_majorization(x, y, matrix)
+    _require_passed(result)
+    modulus, certificate = resolve_modulus(spec, c)
+    return (result, modulus, certificate,
+            _SideSums(x.points, x.weights, spec), _SideSums(y.points, y.weights, spec))
+
+
 class ShermanBound(NamedTuple):
     """Lower link of the chain: ``lhs <= strong_bound <= plain_bound``."""
 
@@ -303,13 +322,8 @@ def sherman_strong(
         MajorizationNotVerified: if the witness fails to verify.
         ModulusNotCertified: per :func:`resolve_modulus`.
     """
-    spec.require_inside(x.points)
-    spec.require_inside(y.points)
-    _require_passed(verify_weighted_majorization(x, y, matrix))
-    modulus, _ = resolve_modulus(spec, c)
-    lhs, strong, plain, correction = _sherman_link(
-        _SideSums(x.points, x.weights, spec), _SideSums(y.points, y.weights, spec), modulus
-    )
+    _, modulus, _, x_sums, y_sums = _chain_premises(x, y, matrix, spec, c)
+    lhs, strong, plain, correction = _sherman_link(x_sums, y_sums, modulus)
     return ShermanBound(
         lhs=lhs,
         strong_bound=strong,
@@ -352,16 +366,10 @@ def full_chain(
             ``certificate`` differs from the one resolved for ``spec``.
         DegenerateInterval: if the interval is numerically a point.
     """
-    spec.require_inside(x.points)
-    spec.require_inside(y.points)
-    result = verify_weighted_majorization(x, y, matrix)
-    _require_passed(result)
-    modulus, resolved = resolve_modulus(spec, c)
+    result, modulus, resolved, x_sums, y_sums = _chain_premises(x, y, matrix, spec, c)
     if certificate is not None and certificate != resolved:
         raise ModulusNotCertified(f"the given certificate is not the one of {spec.name}")
-    chain = _chain_links(
-        _SideSums(x.points, x.weights, spec), _SideSums(y.points, y.weights, spec), modulus
-    )
+    chain = _chain_links(x_sums, y_sums, modulus)
     weights = np.concatenate([x.weights, y.weights])
     fuchs = x.size == y.size and float(np.ptp(weights)) <= 1e-12 * max(1.0, float(weights.max()))
     return replace(chain, fuchs_case=fuchs, verification=result)

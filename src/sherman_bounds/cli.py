@@ -51,7 +51,7 @@ from .errors import (
     QuadratureFailure,
     ValidationError,
 )
-from .fink import QuadratureConfig, sherman_difference_identity
+from .fink import sherman_difference_identity
 from .majorization import (
     DEFAULT_TOL,
     StochasticMatrix,
@@ -218,6 +218,13 @@ def _require_kernel(config: RunConfig) -> str:
     return config.kernel
 
 
+def _pinned_instance(config: RunConfig, x, a, y, b):
+    """The catalog spec on the data hull (or ``--interval``) and the two sides on it."""
+    interval = _hull_interval(config, np.concatenate([x, y]))
+    spec = function_from_name(_require_kernel(config), interval)
+    return spec, WeightedVector(x, a, interval), WeightedVector(y, b, interval)
+
+
 def _run_chain(config: RunConfig):
     data = _load_json(config.input_path)
     _require_keys(data, ["x", "b", "A"], "chain")
@@ -232,15 +239,10 @@ def _run_chain(config: RunConfig):
     else:
         y, a = generate_weighted_pair(x, b, matrix)
         generated = True
-    interval = _hull_interval(config, np.concatenate([x, y]))
-    spec = function_from_name(_require_kernel(config), interval)
+    spec, xv, yv = _pinned_instance(config, x, a, y, b)
     certificate = estimate_strong_modulus(spec, 2)
     logger.info("chain: modulus certificate %s", certificate)
-    xv = WeightedVector(x, a, interval)
-    yv = WeightedVector(y, b, interval)
-    chain = full_chain(
-        xv, yv, matrix, spec, config.modulus,
-    )
+    chain = full_chain(xv, yv, matrix, spec, config.modulus)
     result = chain.to_dict()
     result["generated_pair"] = generated
     if generated:
@@ -273,9 +275,8 @@ def _run_divergence(config: RunConfig):
         sandwich = aggregated_divergence_bounds(pair, matrix, kernel, config.modulus)
     else:
         sandwich = divergence_bounds(pair, kernel, config.modulus)
-    certificates = {}
-    if kernel.modulus_certificate is not None:
-        certificates["modulus"] = _cert_dict(kernel.modulus_certificate)
+    certificate = kernel.modulus_certificate
+    certificates = {} if certificate is None else {"modulus": _cert_dict(certificate)}
     return sandwich.to_dict(), certificates, list(sandwich.warnings), sandwich.holds
 
 
@@ -305,17 +306,13 @@ def _run_verify_identity(config: RunConfig):
     a = _nonnegative_weights(_numeric_vector(data["a"], "a"), "a")
     y = _numeric_vector(data["y"], "y")
     b = _nonnegative_weights(_numeric_vector(data["b"], "b"), "b")
-    interval = _hull_interval(config, np.concatenate([x, y]))
-    spec = function_from_name(_require_kernel(config), interval)
-    xv = WeightedVector(x, a, interval)
-    yv = WeightedVector(y, b, interval)
+    spec, xv, yv = _pinned_instance(config, x, a, y, b)
     certificates: dict[str, Any] = {}
     if "A" in data:
         matrix = StochasticMatrix(_numeric_matrix(data["A"], "A"), "row")
         verification = verify_weighted_majorization(xv, yv, matrix)
         certificates["majorization"] = _verification_dict(verification)
-    quad_cfg = QuadratureConfig(abs_tol=config.quad_tol, rel_tol=config.quad_tol)
-    report = sherman_difference_identity(xv, yv, spec, config.order, quad_cfg)
+    report = sherman_difference_identity(xv, yv, spec, config.order, config.quad_tol)
     budget = RESIDUAL_BUDGET_FACTOR * config.quad_tol
     ok = abs(report.residual) <= budget
     result = report.to_dict()

@@ -57,6 +57,10 @@ DEFAULT_SAMPLE_COUNT = 200
 #: Highest derivative order the built-in catalog provides.
 CATALOG_ORDER = 6
 
+#: Interior nodes and relative tolerance of :func:`check_derivative_consistency`.
+CONSISTENCY_GRID = 33
+CONSISTENCY_REL_TOL = 1e-5
+
 
 @dataclass(frozen=True, slots=True)
 class FunctionSpec:
@@ -415,29 +419,21 @@ def shift_to_convex(spec: FunctionSpec, n: int, c: float) -> FunctionSpec:
     )
 
 
-def check_derivative_consistency(
-    spec: FunctionSpec, grid_size: int = 33, rel_tol: float = 1e-5
-) -> bool:
+def check_derivative_consistency(spec: FunctionSpec) -> bool:
     """Self-test each derivative against central differences of the previous one.
 
-    Uses step ``h = (beta-alpha)*1e-5`` on an interior grid and accepts
-    when ``|central - exact| <= rel_tol * (|exact| + 1)`` everywhere.
-    Intended as a sanity check for hand-written derivative tuples.
-
-    Raises:
-        ValueError: unless ``grid_size >= 1`` and ``rel_tol`` is finite and positive.
+    Uses step ``h = (beta-alpha)*1e-5`` on :data:`CONSISTENCY_GRID` interior
+    nodes and accepts when ``|central - exact| <= tol * (|exact| + 1)``
+    everywhere, for ``tol =`` :data:`CONSISTENCY_REL_TOL`.  Intended as a
+    sanity check for hand-written derivative tuples.
     """
-    if grid_size < 1:
-        raise ValueError(f"grid_size must be >= 1, got {grid_size}")
-    if not (math.isfinite(rel_tol) and rel_tol > 0):
-        raise ValueError(f"rel_tol must be finite and positive, got {rel_tol}")
     lo, hi = spec.interval
     h = (hi - lo) * 1e-5
-    ts = np.linspace(lo + 2.0 * h, hi - 2.0 * h, grid_size)
+    ts = np.linspace(lo + 2.0 * h, hi - 2.0 * h, CONSISTENCY_GRID)
     for k in range(1, spec.max_order + 1):
         approx = (spec.evaluate(ts + h, k - 1) - spec.evaluate(ts - h, k - 1)) / (2.0 * h)
         exact = spec.evaluate(ts, k)
-        if np.any(np.abs(approx - exact) > rel_tol * (np.abs(exact) + 1.0)):
+        if np.any(np.abs(approx - exact) > CONSISTENCY_REL_TOL * (np.abs(exact) + 1.0)):
             return False
     return True
 

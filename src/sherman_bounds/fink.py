@@ -56,25 +56,14 @@ KERNEL_SIGN_TOL = 1e-12
 BOUND_SLACK = 1e-9
 
 
-@dataclass(frozen=True, slots=True)
-class QuadratureConfig:
-    """Tolerances and budget for the adaptive integrator.
+#: Subdivision limit of ``quad`` per piece; with a limit of 1, dqagse
+#: accepts no first step.
+MAX_SUBDIVISIONS = 200
 
-    Attributes:
-        abs_tol: Total absolute error budget, split across smooth pieces.
-        rel_tol: Relative error target per piece.
-        max_subdivisions: Subdivision limit per piece.
-    """
 
-    abs_tol: float = 1e-9
-    rel_tol: float = 1e-9
-    max_subdivisions: int = 200
-
-    def __post_init__(self) -> None:
-        if not self.abs_tol > 0 or not self.rel_tol > 0:
-            raise ValueError("quadrature tolerances must be positive")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be >= 1")
+def _check_quad_tol(quad_tol: float) -> None:
+    if not (math.isfinite(quad_tol) and quad_tol > 0):
+        raise ValueError(f"quad_tol must be finite and positive, got {quad_tol}")
 
 
 def fink_kernel(t: float, x: float, alpha: float, beta: float) -> float:
@@ -110,12 +99,12 @@ _EPS, _TINY = np.finfo(float).eps, np.finfo(float).tiny
 _DQK21_ORDER = [1, 3, 5, 7, 9, 0, 2, 4, 6, 8]
 
 
-def _first_step(integrand, cuts: np.ndarray, cfg: QuadratureConfig):
+def _first_step(integrand, cuts: np.ndarray, tol: float):
     """QUADPACK's first step on every piece ``[cuts[i], cuts[i+1]]`` at once.
 
     Returns dqk21's result and error estimate per piece, and whether dqagse
-    accepts them: ``max_subdivisions > 1``, and the error zero, or within
-    ``max(abs_tol / pieces, rel_tol |result|)`` and not ``resasc`` (dqagse's
+    accepts them: :data:`MAX_SUBDIVISIONS` ``> 1``, and the error zero, or
+    within ``max(tol / pieces, tol |result|)`` and not ``resasc`` (dqagse's
     round-off flag needs a larger error, so it rejects as well).
     ``integrand(t, i)`` takes nodes ``(21, pieces)`` and piece indices that
     broadcast, and is called once for all pieces.  Sums run in dqk21's order
@@ -142,27 +131,29 @@ def _first_step(integrand, cuts: np.ndarray, cfg: QuadratureConfig):
         abserr = np.where((resasc != 0.0) & (abserr != 0.0), scaled, abserr)
         floor = np.where(resabs > _TINY / (50.0 * _EPS), 50.0 * _EPS * resabs, 0.0)
         abserr = np.maximum(floor, abserr)
-        bound = np.maximum(cfg.abs_tol / lo.size, cfg.rel_tol * np.abs(result))
+        bound = np.maximum(tol / lo.size, tol * np.abs(result))
         accepted = ((abserr <= bound) & (abserr != resasc)) | (abserr == 0.0)
-    return result, abserr, accepted & (cfg.max_subdivisions > 1)
+    return result, abserr, accepted & (MAX_SUBDIVISIONS > 1)
 
 
-def _integrate_pieces(integrand, cuts: np.ndarray, cfg: QuadratureConfig) -> float:
+def _integrate_pieces(integrand, cuts: np.ndarray, tol: float) -> float:
     """Sum of the integrals of ``integrand(t, i)`` over increasing ``cuts`` (two or more).
 
     Pieces that :func:`_first_step` rejects go, in order, to ``quad`` with
-    ``epsabs = abs_tol / pieces``: every piece meets what ``quad`` requires.
+    ``epsabs = tol / pieces`` and ``epsrel = tol``: every piece meets what
+    ``quad`` requires.  The summed error estimate must stay within
+    ``max(10 tol, 10 tol |total|)``.
     """
-    result, abserr, accepted = _first_step(integrand, cuts, cfg)
+    result, abserr, accepted = _first_step(integrand, cuts, tol)
     for i in np.flatnonzero(~accepted).tolist():
         lo, hi = float(cuts[i]), float(cuts[i + 1])
-        out = quad(integrand, lo, hi, args=(i,), epsabs=cfg.abs_tol / result.size,
-                   epsrel=cfg.rel_tol, limit=cfg.max_subdivisions, full_output=1)
+        out = quad(integrand, lo, hi, args=(i,), epsabs=tol / result.size,
+                   epsrel=tol, limit=MAX_SUBDIVISIONS, full_output=1)
         if len(out) == 4:
             raise QuadratureFailure(f"integration on [{lo}, {hi}] failed: {out[3].strip()}")
         result[i], abserr[i] = out[0], out[1]
     total, err_total = float(result.sum()), float(abserr.sum())
-    budget = max(10.0 * cfg.abs_tol, 10.0 * cfg.rel_tol * abs(total))
+    budget = max(10.0 * tol, 10.0 * tol * abs(total))
     if err_total > budget:
         raise QuadratureFailure(f"integration error estimate {err_total} exceeds budget {budget}")
     return total
@@ -179,19 +170,23 @@ def fink_identity_check(
     spec: FunctionSpec,
     x: float,
     n: int,
-    quad_cfg: QuadratureConfig = QuadratureConfig(),
+    quad_tol: float = 1e-9,
 ) -> float:
     """Residual of the n-th order identity at one point.
 
     Evaluates ``f(x)`` minus the identity's right-hand side (interval
     mean, endpoint-derivative sum, kernel integral of ``f^(n)``); the
-    result should vanish up to quadrature error.
+    result should vanish up to quadrature error.  ``quad_tol`` is the
+    quadrature budget, absolute and relative alike (see
+    :func:`_integrate_pieces`).
 
     Raises:
+        ValueError: if ``n < 1`` or ``quad_tol`` is not finite and positive.
         MissingDerivative: if derivatives up to order ``n`` are missing.
         PointOutOfInterval: if ``x`` leaves the interval.
         QuadratureFailure: if the integrator gives up.
     """
+    _check_quad_tol(quad_tol)
     if n < 1:
         raise ValueError(f"order must be >= 1, got {n}")
     spec.require_inside([x])
@@ -201,7 +196,7 @@ def fink_identity_check(
     f = spec.evaluator
     x = float(x)
 
-    mean = _integrate_pieces(lambda t, i: spec.evaluate(t), np.array([al, be]), quad_cfg)
+    mean = _integrate_pieces(lambda t, i: spec.evaluate(t), np.array([al, be]), quad_tol)
     boundary = 0.0
     for w in range(1, n):
         dw = spec.derivative(w - 1)
@@ -218,7 +213,7 @@ def fink_identity_check(
     def integrand(t, i):
         return (x - t) ** (n - 1) * (t - offsets[i]) * spec.evaluate(t, order=n)
 
-    kernel_term = _integrate_pieces(integrand, cuts, quad_cfg) / (math.factorial(n - 1) * width)
+    kernel_term = _integrate_pieces(integrand, cuts, quad_tol) / (math.factorial(n - 1) * width)
     return float(f(x) - (n / width * mean - boundary + kernel_term))
 
 
@@ -377,6 +372,34 @@ class _KernelWeight:
         r = (self.center - t) / self.half
         return (t - self.alpha) * _horner(suffix, r) + (t - self.beta) * _horner(prefix, r)
 
+    def sign_certificate(self) -> KernelCondition:
+        """The sign certificate of :func:`check_kernel_condition` for this weight."""
+        suffix, prefix = self.pieces
+        if suffix.shape[1] == 0:
+            return KernelCondition("nonnegative", 0.0, 0.0, 0)
+        n, lo, hi = suffix.shape[0], self.cuts[:-1], self.cuts[1:]
+        w_min, w_max, count, tol = math.inf, -math.inf, 0, KERNEL_SIGN_TOL
+        for depth in range(MAX_SIGN_DEPTH + 1):
+            t = lo + (hi - lo) * (np.arange(n + 1) / n)[:, None]
+            t[-1] = hi
+            values = self.polynomial(t, suffix, prefix)
+            coeffs = _bernstein_from_values(n) @ values
+            w_min, w_max = min(w_min, float(values.min())), max(w_max, float(values.max()))
+            count += lo.size
+            maybe_nonneg, maybe_nonpos = w_min >= -tol, w_max <= tol
+            low, high = coeffs.min(axis=0) < -tol, coeffs.max(axis=0) > tol
+            if maybe_nonneg and not low.any():
+                return KernelCondition("nonnegative", w_min, w_max, count)
+            if maybe_nonpos and not high.any():
+                return KernelCondition("nonpositive", w_min, w_max, count)
+            if not (maybe_nonneg or maybe_nonpos) or depth == MAX_SIGN_DEPTH:
+                return KernelCondition("indefinite", w_min, w_max, count)
+            # pieces proved for every sign still possible drop out; the rest are halved
+            keep = (low & maybe_nonneg) | (high & maybe_nonpos)
+            mid = 0.5 * (lo[keep] + hi[keep])
+            lo, hi = np.concatenate([lo[keep], mid]), np.concatenate([mid, hi[keep]])
+            suffix, prefix = np.tile(suffix[:, keep], 2), np.tile(prefix[:, keep], 2)
+
 
 def check_kernel_condition(
     x: WeightedVector,
@@ -384,7 +407,6 @@ def check_kernel_condition(
     n: int,
     *,
     interval: Optional[tuple[float, float]] = None,
-    weight: Optional[_KernelWeight] = None,
 ) -> KernelCondition:
     """Prove the sign of the combined kernel weight for a pair.
 
@@ -408,7 +430,6 @@ def check_kernel_condition(
         y: Majorized side.
         n: Identity order (the kernel uses the ``n-1`` power).
         interval: Interval of ``W``; defaults to the hull of the data points.
-        weight: The pair's weight on that interval, if already built.
 
     Raises:
         PointOutOfInterval: if a data point leaves the explicit interval.
@@ -416,40 +437,14 @@ def check_kernel_condition(
     """
     if n < 1:
         raise ValueError(f"order must be >= 1, got {n}")
-    if weight is None:
-        first = float(min(x.points.min(), y.points.min()))
-        last = float(max(x.points.max(), y.points.max()))
-        lo, hi = (first, last) if interval is None else map(float, interval)
-        if interval is not None and not lo < hi:
-            raise ValueError(f"interval must have lo < hi, got {interval}")
-        if _first_outside([first, last], lo, hi) is not None:
-            raise PointOutOfInterval(f"data points span [{first}, {last}], outside [{lo}, {hi}]")
-        weight = _KernelWeight(x, y, n, lo, hi)
-    suffix, prefix = weight.pieces
-    if suffix.shape[1] == 0:
-        return KernelCondition("nonnegative", 0.0, 0.0, 0)
-    n, lo, hi = suffix.shape[0], weight.cuts[:-1], weight.cuts[1:]
-    w_min, w_max, count, tol = math.inf, -math.inf, 0, KERNEL_SIGN_TOL
-    for depth in range(MAX_SIGN_DEPTH + 1):
-        t = lo + (hi - lo) * (np.arange(n + 1) / n)[:, None]
-        t[-1] = hi
-        values = weight.polynomial(t, suffix, prefix)
-        coeffs = _bernstein_from_values(n) @ values
-        w_min, w_max = min(w_min, float(values.min())), max(w_max, float(values.max()))
-        count += lo.size
-        maybe_nonneg, maybe_nonpos = w_min >= -tol, w_max <= tol
-        low, high = coeffs.min(axis=0) < -tol, coeffs.max(axis=0) > tol
-        if maybe_nonneg and not low.any():
-            return KernelCondition("nonnegative", w_min, w_max, count)
-        if maybe_nonpos and not high.any():
-            return KernelCondition("nonpositive", w_min, w_max, count)
-        if not (maybe_nonneg or maybe_nonpos) or depth == MAX_SIGN_DEPTH:
-            return KernelCondition("indefinite", w_min, w_max, count)
-        # pieces proved for every sign still possible drop out; the rest are halved
-        keep = (low & maybe_nonneg) | (high & maybe_nonpos)
-        mid = 0.5 * (lo[keep] + hi[keep])
-        lo, hi = np.concatenate([lo[keep], mid]), np.concatenate([mid, hi[keep]])
-        suffix, prefix = np.tile(suffix[:, keep], 2), np.tile(prefix[:, keep], 2)
+    first = float(min(x.points.min(), y.points.min()))
+    last = float(max(x.points.max(), y.points.max()))
+    lo, hi = (first, last) if interval is None else map(float, interval)
+    if interval is not None and not lo < hi:
+        raise ValueError(f"interval must have lo < hi, got {interval}")
+    if _first_outside([first, last], lo, hi) is not None:
+        raise PointOutOfInterval(f"data points span [{first}, {last}], outside [{lo}, {hi}]")
+    return _KernelWeight(x, y, n, lo, hi).sign_certificate()
 
 
 @dataclass(frozen=True, slots=True)
@@ -484,7 +479,7 @@ def sherman_difference_identity(
     y: WeightedVector,
     spec: FunctionSpec,
     n: int,
-    quad_cfg: QuadratureConfig = QuadratureConfig(),
+    quad_tol: float = 1e-9,
 ) -> FinkReport:
     """Decompose ``S_a f(x) - S_b f(y)`` by the n-th order identity.
 
@@ -502,14 +497,17 @@ def sherman_difference_identity(
 
     Each piece between consecutive data points is integrated against that
     piece's polynomial of ``W``: one 21-point Gauss-Kronrod pass over all
-    pieces, with ``quad`` only for the pieces QUADPACK would subdivide.
+    pieces, with ``quad`` only for the pieces QUADPACK would subdivide, all
+    within the one budget ``quad_tol`` (see :func:`_integrate_pieces`).
     ``kernel_condition`` is proved on the same pieces; ``W`` is built once.
 
     Raises:
+        ValueError: if ``n < 1`` or ``quad_tol`` is not finite and positive.
         MajorizationNotVerified: if either moment condition fails.
         MissingDerivative: if derivatives up to order ``n`` are missing.
         QuadratureFailure: if the integrator gives up.
     """
+    _check_quad_tol(quad_tol)
     lhs, boundary = _difference_terms(x, y, spec, n)
     al, be = spec.interval
     weight = _KernelWeight(x, y, n, al, be)
@@ -518,16 +516,15 @@ def sherman_difference_identity(
     def integrand(t, i):
         return weight.polynomial(t, suffix[:, i], prefix[:, i]) * spec.evaluate(t, order=n)
 
-    integral = _integrate_pieces(integrand, weight.cuts, quad_cfg)
+    integral = _integrate_pieces(integrand, weight.cuts, quad_tol)
     integral /= math.factorial(n - 1) * (be - al)
-    condition = check_kernel_condition(x, y, n, weight=weight).classification
     return FinkReport(
         order=n,
         lhs=lhs,
         boundary_terms=boundary,
         integral_term=integral,
         residual=lhs - boundary - integral,
-        kernel_condition=condition,
+        kernel_condition=weight.sign_certificate().classification,
     )
 
 

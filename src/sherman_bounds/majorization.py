@@ -184,7 +184,8 @@ class StochasticMatrix:
         for label, parts in (("row", row_sums), ("column", col_sums)):
             if self.kind not in (label, "doubly"):
                 continue
-            dev = float(np.abs(np.concatenate(parts) - 1.0).max())
+            # max |s - 1| without a temporary: rounding s - 1 is monotone in s.
+            dev = float(np.max([np.maximum(s.max() - 1.0, 1.0 - s.min()) for s in parts]))
             # A NaN or infinite entry makes its sum, and so dev, non-finite;
             # NaN would pass the comparison below.
             if not math.isfinite(dev):

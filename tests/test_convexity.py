@@ -399,10 +399,11 @@ class TestCatalog:
         {"rel_tol": math.nan}, {"rel_tol": math.inf}, {"rel_tol": 0.0}, {"grid_size": 0},
     ], ids=["nan_tol", "inf_tol", "zero_tol", "empty_grid"])
     def test_consistency_check_rejects_bad_settings(self, kwargs):
-        # NaN and inf tolerances and an empty grid each let the wrong f' pass;
-        # a zero tolerance would fail every spec on rounding alone
+        # NaN and inf tolerances and an empty grid would each let the wrong f'
+        # pass, and a zero tolerance fail every spec on rounding alone; the
+        # grid and the tolerance are constants, so no call can set them
         wrong = FunctionSpec("wrong", math.exp, (lambda t: 2.0 * math.exp(t),), (0.0, 1.0))
-        with pytest.raises(ValueError, match="grid_size|rel_tol"):
+        with pytest.raises(TypeError):
             check_derivative_consistency(wrong, **kwargs)
 
     def test_square_evaluates_as_plain_product(self):

@@ -1,6 +1,7 @@
 """Identity checks, kernel sign certificates, and higher-order bounds."""
 
 import gc
+import inspect
 import math
 import pickle
 import weakref
@@ -19,7 +20,6 @@ from sherman_bounds import (
     ModulusNotCertified,
     OutOfInterval,
     PointOutOfInterval,
-    QuadratureConfig,
     QuadratureFailure,
     WeightedVector,
     check_kernel_condition,
@@ -113,18 +113,21 @@ ROOT01 = FunctionSpec(
 
 
 class TestQuadratureConfig:
+    """The identities take one budget, ``quad_tol``; the subdivision limit is a constant."""
+
     def test_defaults(self):
-        cfg = QuadratureConfig()
-        assert cfg.abs_tol == 1e-9 and cfg.rel_tol == 1e-9
-        assert cfg.max_subdivisions == 200
+        for function in (fink_identity_check, sherman_difference_identity):
+            assert inspect.signature(function).parameters["quad_tol"].default == 1e-9
+        assert fink.MAX_SUBDIVISIONS == 200
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            QuadratureConfig(abs_tol=0.0)
-        with pytest.raises(ValueError):
-            QuadratureConfig(rel_tol=-1e-9)
-        with pytest.raises(ValueError):
-            QuadratureConfig(max_subdivisions=0)
+        x, y, _ = random_chain_instance(np.random.default_rng(54), (0.0, 1.0))
+        # an infinite budget would pass any residual
+        for quad_tol in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="quad_tol"):
+                fink_identity_check(EXP01, 0.5, 2, quad_tol)
+            with pytest.raises(ValueError, match="quad_tol"):
+                sherman_difference_identity(x, y, EXP01, 2, quad_tol)
 
 
 class TestFinkKernel:
@@ -178,17 +181,18 @@ class TestFinkIdentity:
         with pytest.raises(ValueError):
             fink_identity_check(EXP01, 0.5, 0)
 
-    def test_budget_exhaustion_is_reported(self):
-        cfg = QuadratureConfig(abs_tol=1e-13, rel_tol=1e-13, max_subdivisions=1)
+    def test_budget_exhaustion_is_reported(self, monkeypatch):
+        monkeypatch.setattr(fink, "MAX_SUBDIVISIONS", 1)
         with pytest.raises(QuadratureFailure):
-            fink_identity_check(steep_spec(), 0.37, 2, cfg)
+            fink_identity_check(steep_spec(), 0.37, 2, 1e-13)
 
     def test_budget_message_names_the_applied_threshold(self, monkeypatch):
         # value 1e3 makes the relative threshold 10 * 1e-9 * 1e3 = 1e-5 apply;
         # one subdivision makes every piece reach the patched quad
+        monkeypatch.setattr(fink, "MAX_SUBDIVISIONS", 1)
         monkeypatch.setattr(fink, "quad", lambda *args, **kwargs: (1e3, 1.0, {"neval": 21}))
         with pytest.raises(QuadratureFailure) as info:
-            fink_identity_check(EXP01, 0.5, 1, QuadratureConfig(max_subdivisions=1))
+            fink_identity_check(EXP01, 0.5, 1)
         assert f"exceeds budget {max(10 * 1e-9, 10 * 1e-9 * 1e3)}" in str(info.value)
         assert "1e-09" not in str(info.value)
 
@@ -207,13 +211,13 @@ class TestGaussKronrodPass:
 
     @staticmethod
     def captured_integrals(monkeypatch):
-        """Every ``(integrand, cuts, cfg)`` that the identities integrate."""
+        """Every ``(integrand, cuts, tol)`` that the identities integrate."""
         captured = []
         real = fink._integrate_pieces
 
-        def capture(integrand, cuts, cfg):
-            captured.append((integrand, cuts, cfg))
-            return real(integrand, cuts, cfg)
+        def capture(integrand, cuts, tol):
+            captured.append((integrand, cuts, tol))
+            return real(integrand, cuts, tol)
 
         monkeypatch.setattr(fink, "_integrate_pieces", capture)
         rng = np.random.default_rng(51)
@@ -222,23 +226,22 @@ class TestGaussKronrodPass:
                 x, y, _ = random_chain_instance(rng, (0.0, 1.0))
                 sherman_difference_identity(x, y, EXP01, n)
         sherman_difference_identity(x, y, ROOT01, 2)
-        for cfg in (QuadratureConfig(), QuadratureConfig(abs_tol=1e-13, rel_tol=1e-13)):
+        for tol in (1e-9, 1e-13):
             for rate in (8.0, 40.0):
                 for n in (1, 2, 3):
-                    fink_identity_check(steep_spec(rate), 0.37, n, cfg)
+                    fink_identity_check(steep_spec(rate), 0.37, n, tol)
         # so steep a function that the first error estimates saturate at
-        # resasc (~5e41), which dqagse never accepts, even within abs_tol
-        fink_identity_check(steep_spec(100.0), 0.37, 1, QuadratureConfig(abs_tol=1e60))
+        # resasc (~5e41), which dqagse never accepts, even within the budget
+        fink_identity_check(steep_spec(100.0), 0.37, 1, 1e60)
         return captured
 
     def test_pieces_agree_with_quad(self, monkeypatch):
         rejected = 0
-        for integrand, cuts, cfg in self.captured_integrals(monkeypatch):
-            result, abserr, accepted = fink._first_step(integrand, cuts, cfg)
+        for integrand, cuts, tol in self.captured_integrals(monkeypatch):
+            result, abserr, accepted = fink._first_step(integrand, cuts, tol)
             rejected += int((~accepted).sum())
             for i, (lo, hi) in enumerate(zip(cuts[:-1], cuts[1:])):
-                kwargs = dict(args=(i,), epsabs=cfg.abs_tol / result.size,
-                              epsrel=cfg.rel_tol, full_output=1)
+                kwargs = dict(args=(i,), epsabs=tol / result.size, epsrel=tol, full_output=1)
                 # one subdivision stops quad after its first step
                 first = quad(integrand, lo, hi, limit=1, **kwargs)
                 assert abs(result[i] - first[0]) <= 1e-14 * abs(first[0])
@@ -247,7 +250,7 @@ class TestGaussKronrodPass:
                 # 1.5 resabs / |resk - resg|, about 1e7 on the steepest pieces;
                 # a wrong scaling or floor would move it by orders of magnitude
                 assert abs(abserr[i] - first[1]) <= 1e-6 * first[1]
-                full = quad(integrand, lo, hi, limit=cfg.max_subdivisions, **kwargs)
+                full = quad(integrand, lo, hi, limit=fink.MAX_SUBDIVISIONS, **kwargs)
                 assert accepted[i] == (len(full) == 3 and full[2]["neval"] == 21)
         assert rejected > 0
 
@@ -301,6 +304,14 @@ class TestKernelCondition:
             check_kernel_condition(v, v, 0)
         with pytest.raises(ValueError):
             check_kernel_condition(v, v, 2, interval=(1.0, 0.0))
+
+    def test_weight_is_not_a_parameter(self):
+        # the identity certifies its own weight; a caller cannot hand one in
+        v = WeightedVector([0.2, 0.7], [1.0, 0.5])
+        weight = fink._KernelWeight(v, v, 2, 0.0, 1.0)
+        with pytest.raises(TypeError):
+            check_kernel_condition(v, v, 2, weight=weight)
+        assert weight.sign_certificate() == check_kernel_condition(v, v, 2, interval=(0.0, 1.0))
 
     def test_data_outside_the_interval_is_refused(self):
         # W is built from k(t, x) at points where k is undefined
@@ -679,16 +690,16 @@ class TestHigherOrderBound:
     def test_bound_makes_no_quad_call_and_one_scan(self, monkeypatch):
         counts = {"quad": 0, "scan": 0, "sampled": 0}
         epsabs = []
-        real_quad, real_scan = fink.quad, fink.check_kernel_condition
+        real_quad, real_scan = fink.quad, fink._KernelWeight.sign_certificate
 
         def counting_quad(*args, **kwargs):
             counts["quad"] += 1
             epsabs.append(kwargs["epsabs"])
             return real_quad(*args, **kwargs)
 
-        def counting_scan(*args, **kwargs):
+        def counting_scan(weight):
             counts["scan"] += 1
-            return real_scan(*args, **kwargs)
+            return real_scan(weight)
 
         def counting_sampled(real):
             def wrapper(*args, **kwargs):
@@ -698,7 +709,8 @@ class TestHigherOrderBound:
             return wrapper
 
         monkeypatch.setattr(fink, "quad", counting_quad)
-        monkeypatch.setattr(fink, "check_kernel_condition", counting_scan)
+        # every sign certificate, through check_kernel_condition or not
+        monkeypatch.setattr(fink._KernelWeight, "sign_certificate", counting_scan)
         # every package module that holds a sampling check, wherever it came from
         modules = (sherman_bounds.convexity, sherman_bounds.bounds, sherman_bounds.divergence, fink)
         for module in modules:
@@ -719,7 +731,7 @@ class TestHigherOrderBound:
         assert 0 < counts["quad"] < pieces and counts["scan"] == 1
         assert sherman_bounds.convexity.is_n_strongly_convex(EXP01, 2, 0.4).passed
         assert counts["sampled"] == 1
-        assert epsabs == [QuadratureConfig().abs_tol / pieces] * counts["quad"]
+        assert epsabs == [1e-9 / pieces] * counts["quad"]
         assert abs(report.residual) <= 1e-9
 
     def test_bound_keeps_the_identity_guards(self):

@@ -186,6 +186,16 @@ class TestBlockedValidation:
         entries[-1, second] -= 3e-12
         assert (self.assert_like_oracle(entries, kind) is None) == (kind != "row")
 
+    @pytest.mark.parametrize("shape, kind", MULTI_BLOCK + [((7, 7), "doubly")])
+    def test_largest_deviation_below_one_in_the_first_block(self, shape, kind):
+        # the message names max |s - 1| over every block, here 1 - min s
+        entries = _stochastic(np.random.default_rng(76), shape, kind)
+        entries[0, entries[0].argmax()] -= 5e-12
+        entries[-1, entries[-1].argmax()] += 3e-12
+        with pytest.raises(ValidationError, match="sums deviate"):
+            StochasticMatrix(entries, kind)
+        assert self.assert_like_oracle(entries, kind) is None
+
     @pytest.mark.parametrize("shape, kind", MULTI_BLOCK)
     def test_fortran_ordered_and_strided_inputs(self, shape, kind):
         entries = _stochastic(np.random.default_rng(75), shape, kind)
