@@ -25,7 +25,7 @@ bound keeps its own centred spread ``S_a (x - xbar)^2``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 from typing import NamedTuple, Optional
 
@@ -104,6 +104,8 @@ class BoundChain:
         verification: The witness check of :func:`full_chain`; None for
             an aggregated divergence, whose witness holds by construction.
             Not reported.
+        certificate: The modulus certificate that :func:`full_chain`
+            resolved and set; None elsewhere.  Not reported.
     """
 
     lhs: float
@@ -117,10 +119,12 @@ class BoundChain:
     fuchs_case: bool = False
     warnings: tuple[str, ...] = ()
     verification: Optional[VerificationResult] = None
+    certificate: Optional[ModulusCertificate] = field(default=None, init=False)
 
     def to_dict(self) -> dict:
-        """Flat JSON-ready mapping of every field but ``verification``."""
-        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "verification"}
+        """Flat JSON-ready mapping of every field but ``verification`` and ``certificate``."""
+        unreported = ("verification", "certificate")
+        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name not in unreported}
         return dict(out, warnings=list(self.warnings))
 
 
@@ -369,10 +373,11 @@ def full_chain(
     result, modulus, resolved, x_sums, y_sums = _chain_premises(x, y, matrix, spec, c)
     if certificate is not None and certificate != resolved:
         raise ModulusNotCertified(f"the given certificate is not the one of {spec.name}")
-    chain = _chain_links(x_sums, y_sums, modulus)
     weights = np.concatenate([x.weights, y.weights])
     fuchs = x.size == y.size and float(np.ptp(weights)) <= 1e-12 * max(1.0, float(weights.max()))
-    return replace(chain, fuchs_case=fuchs, verification=result)
+    chain = replace(_chain_links(x_sums, y_sums, modulus), fuchs_case=fuchs, verification=result)
+    object.__setattr__(chain, "certificate", resolved)
+    return chain
 
 
 def _chain_links(x: _SideSums, y: _SideSums, modulus: float) -> BoundChain:

@@ -32,12 +32,8 @@ from typing import Any, Optional
 
 import numpy as np
 
-from .bounds import CHAIN_SLACK, full_chain
-from .convexity import (
-    ModulusCertificate,
-    estimate_strong_modulus,
-    function_from_name,
-)
+from .bounds import CHAIN_SLACK, MIN_INTERVAL_WIDTH, full_chain
+from .convexity import ModulusCertificate, function_from_name
 from .divergence import (
     DistributionPair,
     aggregated_divergence_bounds,
@@ -205,7 +201,7 @@ def _hull_interval(config: RunConfig, points: np.ndarray) -> tuple[float, float]
     if config.interval is not None:
         return config.interval
     lo, hi = float(points.min()), float(points.max())
-    if hi - lo < 1e-14:
+    if hi - lo < MIN_INTERVAL_WIDTH:
         raise DegenerateInterval(
             f"data hull [{lo}, {hi}] is degenerate; pass --interval explicitly"
         )
@@ -240,16 +236,15 @@ def _run_chain(config: RunConfig):
         y, a = generate_weighted_pair(x, b, matrix)
         generated = True
     spec, xv, yv = _pinned_instance(config, x, a, y, b)
-    certificate = estimate_strong_modulus(spec, 2)
-    logger.info("chain: modulus certificate %s", certificate)
     chain = full_chain(xv, yv, matrix, spec, config.modulus)
+    logger.info("chain: modulus certificate %s", chain.certificate)
     result = chain.to_dict()
     result["generated_pair"] = generated
     if generated:
         result["y"] = y.tolist()
         result["a"] = a.tolist()
     certificates = {
-        "modulus": _cert_dict(certificate),
+        "modulus": _cert_dict(chain.certificate),
         "majorization": _verification_dict(chain.verification),
     }
     return result, certificates, list(chain.warnings), chain.chain_holds

@@ -20,7 +20,7 @@ A named catalog of common functions (``square``, ``exp``, ``xlogx``,
 entry, like each divergence generator of :mod:`.divergence`, is declared
 once in a table: its ``f``, any hand-written low derivative, and the law
 ``s*(t + shift)**e`` or ``exp`` that gives every higher order.  One
-builder turns an entry into a spec with exactly the requested derivatives.
+builder turns an entry into a spec with :data:`CATALOG_ORDER` derivatives.
 """
 
 from __future__ import annotations
@@ -285,21 +285,30 @@ def resolve_modulus(
             modulus exceeds the certified one.
         ValueError: on an explicit modulus that is negative, NaN or infinite.
     """
+    _require_valid_modulus(c)
+    cert = estimate_strong_modulus(spec, order)
+    return _certified_modulus(spec.name, cert, c), cert
+
+
+def _require_valid_modulus(c: Optional[float]) -> None:
     if c is not None and not (math.isfinite(c) and c >= 0):
         raise ValueError(f"modulus must be finite and nonnegative, got {c}")
-    cert = estimate_strong_modulus(spec, order)
+
+
+def _certified_modulus(name: str, cert: ModulusCertificate, c: Optional[float]) -> float:
+    """The modulus of :func:`resolve_modulus` from the certificate ``cert`` of spec ``name``."""
     if cert.verdict not in ("certified", "sampled"):
         raise ModulusNotCertified(
-            f"modulus certification for {spec.name} returned {cert.verdict!r} "
+            f"modulus certification for {name} returned {cert.verdict!r} "
             f"(minimum {cert.grid_min})"
         )
     if c is None:
-        return cert.modulus, cert
+        return cert.modulus
     if c > cert.modulus + MODULUS_SLACK:
         raise ModulusNotCertified(
-            f"requested modulus {c} exceeds certified {cert.modulus} for {spec.name}"
+            f"requested modulus {c} exceeds certified {cert.modulus} for {name}"
         )
-    return float(c), cert
+    return float(c)
 
 
 @dataclass(frozen=True, slots=True)
@@ -482,11 +491,9 @@ class _CatalogEntry(NamedTuple):
     lag: int = 0
 
 
-def _catalog_spec(name: str, entry: _CatalogEntry, interval, order: int) -> FunctionSpec:
-    """The spec of a catalog entry with exactly ``order`` derivatives (none without a law)."""
-    if order < 0:
-        raise ValueError(f"order must be >= 0, got {order}")
-    count = order + 1 - entry.lag
+def _catalog_spec(name: str, entry: _CatalogEntry, interval) -> FunctionSpec:
+    """The spec of a catalog entry with :data:`CATALOG_ORDER` derivatives (none without a law)."""
+    count = CATALOG_ORDER + 1 - entry.lag
     shift = math.nan  # no interior node
     if entry.law is None:
         terms = []
@@ -495,7 +502,7 @@ def _catalog_spec(name: str, entry: _CatalogEntry, interval, order: int) -> Func
     else:
         scale, exponent, shift = entry.law
         terms = _power_terms(scale, exponent, count, shift)
-    derivs = entry.low[:order] + tuple(terms[len(entry.low) + 1 - entry.lag:])
+    derivs = entry.low + tuple(terms[len(entry.low) + 1 - entry.lag:])
     spec = FunctionSpec(name, entry.f or terms[0], derivs, tuple(interval))
     lo, hi = spec.interval
     object.__setattr__(spec, "_min_nodes", (lo, -shift, hi) if lo < -shift < hi else (lo, hi))
@@ -517,19 +524,16 @@ _FUNCTIONS = {
 }
 
 
-def function_from_name(
-    name: str, interval: tuple[float, float], order: int = CATALOG_ORDER
-) -> FunctionSpec:
+def function_from_name(name: str, interval: tuple[float, float]) -> FunctionSpec:
     """Build a catalog function by name on the given interval.
 
     Known names: ``square``, ``exp``, ``xlogx``, ``neg_log``, ``linear``,
     and ``pow:a`` for a finite float exponent ``a``.  Derivatives are
-    provided up to ``order``.
+    provided up to :data:`CATALOG_ORDER`.
 
     Raises:
         ValidationError: on an unknown name, a non-finite exponent or an
             interval the function is not defined on.
-        ValueError: on a negative ``order``.
     """
     key = name.strip().lower()
     entry = _FUNCTIONS.get(key)
@@ -551,4 +555,4 @@ def function_from_name(
         )
     elif key in ("xlogx", "neg_log") and float(interval[0]) <= 0.0:
         raise ValidationError(f"{key} needs a positive interval")
-    return _catalog_spec(key, entry, interval, order)
+    return _catalog_spec(key, entry, interval)

@@ -30,21 +30,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
-from .bounds import _chain_links, _finite, _SideSums
+from .bounds import WEIGHT_SUM_TOL, _chain_links, _finite, _SideSums
 from .convexity import (
-    CATALOG_ORDER,
     FunctionSpec,
     ModulusCertificate,
     _CatalogEntry,
     _catalog_spec,
+    _certified_modulus,
     _first_outside,
+    _require_valid_modulus,
     estimate_strong_modulus,
     function_from_name,
-    resolve_modulus,
 )
 from .errors import (
     DimensionMismatch,
@@ -62,9 +63,6 @@ DEFAULT_KERNEL_INTERVAL = (0.1, 10.0)
 #: A generator counts as normalized when |f(1)| is below this.
 NORMALIZED_TOL = 1e-14
 
-#: Probability vectors may deviate from total mass one by this much.
-PROBABILITY_SUM_TOL = 1e-12
-
 _STRONGLY_CONVEX = "strongly_convex"
 _CONVEX_ONLY = "convex_only"
 _NONCONVEX = "nonconvex"
@@ -75,7 +73,7 @@ class DivergenceKernel:
     """A named generator with convexity classification.
 
     The modulus certificate is not a field: it is derived from the
-    generator, so no kernel can carry the certificate of another spec.
+    generator on first read and kept, so no kernel can carry another spec's certificate.
 
     Attributes:
         name: Catalog name, e.g. ``"kl"`` or ``"renyi:2"``.
@@ -94,7 +92,7 @@ class DivergenceKernel:
     def interval(self) -> tuple[float, float]:
         return self.generator.interval
 
-    @property
+    @cached_property
     def modulus_certificate(self) -> Optional[ModulusCertificate]:
         """The generator's order-2 certificate; None unless strongly convex."""
         if self.convexity_class != _STRONGLY_CONVEX:
@@ -212,8 +210,8 @@ def get_kernel(
     Known names: ``kl``, ``hellinger``, ``variational``, ``harmonic``,
     ``bhattacharya``, ``triangular``, ``chi_square``, and ``renyi``
     (``alpha > 1`` via the keyword or a ``renyi:a`` suffix, or both if
-    equal).  Strongly convex kernels are certified at order 2 by
-    :func:`.convexity.resolve_modulus` on construction.
+    equal).  A strongly convex kernel's certificate is computed on
+    construction and must be ``"certified"`` or ``"sampled"``.
 
     Raises:
         ValidationError: on an unknown name, a nonpositive interval, a
@@ -247,7 +245,7 @@ def get_kernel(
         key = f"renyi:{alpha:g}"
         # the pow:a entry under the kernel's name; replace() would drop its nodes
         entry = _CatalogEntry(None, (1.0, float(alpha), -0.0))
-        spec = _catalog_spec(key, entry, interval, CATALOG_ORDER)
+        spec = _catalog_spec(key, entry, interval)
         convexity_class = _STRONGLY_CONVEX
     elif alpha is not None:
         raise ValidationError(f"alpha applies to the renyi kernel only, not {name!r}")
@@ -255,19 +253,15 @@ def get_kernel(
         spec, convexity_class = function_from_name("xlogx", interval), _STRONGLY_CONVEX
     elif key in _GENERATORS:
         entry, convexity_class = _GENERATORS[key]
-        spec = _catalog_spec(key, entry, interval, CATALOG_ORDER)
+        spec = _catalog_spec(key, entry, interval)
     else:
         raise ValidationError(f"unknown divergence kernel {key!r}")
 
-    if convexity_class == _STRONGLY_CONVEX:
-        resolve_modulus(spec, None)
     normalized = bool(abs(spec.evaluator(1.0)) <= NORMALIZED_TOL)
-    return DivergenceKernel(
-        name=key,
-        generator=spec,
-        normalized=normalized,
-        convexity_class=convexity_class,
-    )
+    kernel = DivergenceKernel(key, spec, normalized, convexity_class)
+    if convexity_class == _STRONGLY_CONVEX:
+        _certified_modulus(spec.name, kernel.modulus_certificate, None)
+    return kernel
 
 
 def catalog(interval: Optional[tuple[float, float]] = None) -> list[DivergenceKernel]:
@@ -301,7 +295,7 @@ def _require_probability(values, label: str) -> np.ndarray:
     if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
         raise NotAProbabilityVector(f"{label} must be strictly positive and finite")
     total = math.fsum(arr)
-    if abs(total - 1.0) > PROBABILITY_SUM_TOL:
+    if abs(total - 1.0) > WEIGHT_SUM_TOL:
         raise NotAProbabilityVector(f"{label} sums to {total}, expected 1")
     return arr
 
@@ -310,7 +304,7 @@ def shannon_entropy(p) -> float:
     """Shannon entropy ``H(p) = S_i p_i ln(1/p_i)`` in nats.
 
     Clamped to ``[0, inf)``: the total mass may exceed one by
-    :data:`PROBABILITY_SUM_TOL`, and an entry above one adds a tiny
+    :data:`.bounds.WEIGHT_SUM_TOL`, and an entry above one adds a tiny
     negative term.
 
     Raises:
@@ -443,7 +437,8 @@ def _aggregated_sandwich(
     x = pair._majorant_sums(kernel)
     _require_ratios_inside(aggregated_ratios, kernel)
     y = _SideSums(aggregated_ratios, weights, kernel.generator)
-    modulus, _ = resolve_modulus(kernel.generator, c)
+    _require_valid_modulus(c)
+    modulus = _certified_modulus(kernel.generator.name, kernel.modulus_certificate, c)
     chain = _chain_links(x, y, modulus)
     return DivergenceSandwich(
         kernel_name=kernel.name,

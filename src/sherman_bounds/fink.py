@@ -106,15 +106,15 @@ def _first_step(integrand, cuts: np.ndarray, tol: float):
     accepts them: :data:`MAX_SUBDIVISIONS` ``> 1``, and the error zero, or
     within ``max(tol / pieces, tol |result|)`` and not ``resasc`` (dqagse's
     round-off flag needs a larger error, so it rejects as well).
-    ``integrand(t, i)`` takes nodes ``(21, pieces)`` and piece indices that
-    broadcast, and is called once for all pieces.  Sums run in dqk21's order
-    and so match ``quad`` bit for bit, as the error estimate can amplify one
-    ulp of the Gauss-Kronrod difference to a relative ``1e-4``.
+    ``integrand(t, i)`` is called once, on nodes ``(21, pieces)`` and
+    ``i = slice(None)``, which selects every piece without a copy.  Sums run
+    in dqk21's order and so match ``quad`` bit for bit, as the error estimate
+    can amplify one ulp of the Gauss-Kronrod difference to a relative ``1e-4``.
     """
     lo, hi = cuts[:-1], cuts[1:]
     half = 0.5 * (hi - lo)
     nodes = 0.5 * (lo + hi) + half * _GK_NODES[:, None]
-    values = integrand(nodes, np.arange(lo.size))
+    values = integrand(nodes, slice(None))
     with np.errstate(all="ignore"):  # non-finite pieces are rejected and go to quad
         center, left, right = values[10], values[:10], values[:10:-1]
         kronrod, middle, pairs = _GK_KRONROD[:10, None], _GK_KRONROD[10] * center, left + right

@@ -7,10 +7,12 @@ Gauss-Legendre panels instead of adaptive quadrature.
 """
 
 import math
+import sys
 
 import numpy as np
 
 from sherman_bounds import StochasticMatrix, WeightedVector, generate_weighted_pair
+from sherman_bounds import convexity
 
 
 def fsum_dot(weights, values) -> float:
@@ -161,3 +163,24 @@ def two_sort_kernel_weight(x, y, n: int, alpha: float, beta: float):
             return sx[:, i] - sy[:, j], qx[:, i] - qy[:, j]
 
     return TwoSortKernelWeight()
+
+
+def count_certificates(monkeypatch) -> list:
+    """Route every package attribute bound to ``estimate_strong_modulus`` through a counter.
+
+    Each module that imported the function by name holds its own binding, so
+    every one is replaced, as the benchmark's tracer does.  Returns the list
+    that each evaluation appends its ``(spec, n)`` to.
+    """
+    original, calls = convexity.estimate_strong_modulus, []
+
+    def counting(spec, n):
+        calls.append((spec, n))
+        return original(spec, n)
+
+    for name, module in list(sys.modules.items()):
+        if name == "sherman_bounds" or name.startswith("sherman_bounds."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counting)
+    return calls

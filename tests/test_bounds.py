@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from sherman_bounds import (
     CHAIN_SLACK,
+    BoundChain,
     DegenerateInterval,
     MajorizationNotVerified,
     ModulusNotCertified,
@@ -433,6 +434,15 @@ class TestFullChain:
         witness = StochasticMatrix([[1.0]], "row")
         with pytest.raises(DegenerateInterval):
             full_chain(x, x, witness, spec, 0.0)
+
+    @pytest.mark.parametrize("c", [None, 0.25])
+    def test_carries_the_certificate_its_links_used(self, c):
+        x, y, witness = random_chain_instance(np.random.default_rng(40), (0.0, 1.0))
+        chain = full_chain(x, y, witness, EXP01, c)
+        assert chain.certificate == estimate_strong_modulus(EXP01, 2)
+        assert "certificate" not in chain.to_dict()
+        with pytest.raises(TypeError, match="certificate"):
+            BoundChain(**chain.to_dict(), certificate=chain.certificate)
 
     def test_carries_its_witness_check(self):
         rng = np.random.default_rng(37)

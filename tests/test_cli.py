@@ -29,7 +29,7 @@ from sherman_bounds import (
 )
 from sherman_bounds import cli
 from sherman_bounds.cli import canonical_json, main
-from helpers import random_doubly_stochastic
+from helpers import count_certificates, random_doubly_stochastic
 
 PACKAGE_ROOT = str(Path(sherman_bounds.__file__).resolve().parent.parent)
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -306,6 +306,47 @@ class TestDivergenceCommand:
         code, report = run_cli(capsys, "divergence", "--input", absent, "--kernel", "kl")
         assert code == 2 and report["error_type"] == "ParseError"
         assert report["error"].startswith(f"cannot read {absent}")
+
+
+class TestCertificateCounts:
+    """Each command evaluates its modulus certificate once and reports that one."""
+
+    def test_chain_evaluates_one_certificate(self, tmp_path, capsys, monkeypatch):
+        calls = count_certificates(monkeypatch)
+        path = write_json(tmp_path / "chain.json", CHAIN_INPUT)
+        code, report = run_cli(capsys, "chain", "--input", path, "--kernel", "exp")
+        assert code == 0
+        assert len(calls) == 1
+        spec, n = calls[0]
+        assert n == 2 and spec.name == "exp"
+        assert report["certificates"]["modulus"]["modulus"] == report["result"]["modulus"]
+
+    def test_chain_with_explicit_modulus_reports_the_certificate(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        calls = count_certificates(monkeypatch)
+        path = write_json(tmp_path / "chain.json", CHAIN_INPUT)
+        code, report = run_cli(capsys, "chain", "--input", path, "--kernel", "exp",
+                               "--interval", "0,1", "--modulus", "0.25")
+        assert code == 0
+        assert len(calls) == 1
+        assert report["result"]["modulus"] == 0.25
+        cert = estimate_strong_modulus(function_from_name("exp", (0.0, 1.0)), 2)
+        assert report["certificates"]["modulus"]["modulus"] == cert.modulus
+
+    @pytest.mark.parametrize("name, text", [
+        ("agg.json", json.dumps({"p": [0.3, 0.2, 0.3, 0.2], "q": [0.2, 0.25, 0.25, 0.3],
+                                 "R": [[1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 1.0]]})),
+        ("d.csv", "p,q\n0.5,0.4\n0.3,0.35\n0.2,0.25\n"),
+    ], ids=["json-with-R", "csv"])
+    def test_divergence_evaluates_one_certificate(self, tmp_path, capsys, monkeypatch,
+                                                  name, text):
+        calls = count_certificates(monkeypatch)
+        path = tmp_path / name
+        path.write_text(text)
+        code, report = run_cli(capsys, "divergence", "--input", str(path), "--kernel", "kl")
+        assert code == 0
+        assert len(calls) == 1
+        assert report["certificates"]["modulus"]["modulus"] == report["result"]["modulus"]
 
 
 class TestVerifyIdentityCommand:

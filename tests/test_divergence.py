@@ -13,6 +13,9 @@ from sherman_bounds import (
     CHAIN_SLACK,
     DimensionMismatch,
     DistributionPair,
+    DivergenceKernel,
+    FunctionSpec,
+    MissingDerivative,
     ModulusNotCertified,
     NotAProbabilityVector,
     RatioOutOfDomain,
@@ -34,7 +37,7 @@ from sherman_bounds import (
     verify_weighted_majorization,
 )
 from sherman_bounds.convexity import CATALOG_ORDER
-from helpers import fsum_dot, random_row_stochastic
+from helpers import count_certificates, fsum_dot, random_row_stochastic
 
 CLOSED_FORMS = {
     "kl": lambda p, q: math.fsum(qi * math.log(qi / pi) for pi, qi in zip(p, q)),
@@ -126,6 +129,16 @@ class TestCatalog:
         square = estimate_strong_modulus(function_from_name("square", (0.1, 3.0)), 2)
         with pytest.raises(TypeError, match="modulus_certificate"):
             replace(get_kernel("kl", (0.1, 3.0)), modulus_certificate=square)
+
+    def test_certificate_is_computed_once_per_kernel(self, monkeypatch):
+        calls = count_certificates(monkeypatch)
+        kernel = get_kernel("kl")
+        assert len(calls) == 1
+        assert kernel.modulus_certificate is kernel.modulus_certificate
+        assert len(calls) == 1
+        # the kept certificate is no field: a copy without it is equal and prints the same
+        twin = replace(kernel)
+        assert twin == kernel and repr(twin) == repr(kernel)
 
     def test_generator_spot_values(self):
         expected = {
@@ -318,6 +331,26 @@ class TestDivergenceBounds:
         assert s.modulus == 0.01
         with pytest.raises(ModulusNotCertified):
             divergence_bounds(pair, kernel, 0.2)
+
+    @pytest.mark.parametrize("c", [None, 0.01])
+    def test_bounds_on_a_built_kernel_evaluate_no_certificate(self, monkeypatch, c):
+        kernel = get_kernel("kl")
+        pair = bounded_pair(np.random.default_rng(61), 12)
+        matrix = StochasticMatrix(np.full((3, 12), 1.0 / 3.0), "column")
+        calls = count_certificates(monkeypatch)
+        divergence_bounds(pair, kernel, c)
+        aggregated_divergence_bounds(pair, matrix, kernel, c)
+        assert calls == []
+
+    def test_explicit_modulus_is_checked_before_the_certificate_is_read(self):
+        # a hand-built kernel whose generator has no second derivative to certify
+        spec = FunctionSpec("square", lambda t: t * t, (), (0.1, 10.0))
+        kernel = DivergenceKernel("square", spec, False, "strongly_convex")
+        pair = DistributionPair([0.5, 0.5], [0.4, 0.6])
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            divergence_bounds(pair, kernel, math.nan)
+        with pytest.raises(MissingDerivative):
+            divergence_bounds(pair, kernel, 0.5)
 
     def test_kernels_without_certificates_are_refused(self):
         pair = DistributionPair([0.5, 0.5], [0.2, 0.8])
