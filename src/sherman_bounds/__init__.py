@@ -47,8 +47,6 @@ from .divergence import (
     csiszar_divergence,
     divergence_bounds,
     get_kernel,
-    kl_divergence,
-    shannon_entropy,
 )
 from .errors import (
     DegenerateInterval,
@@ -60,9 +58,7 @@ from .errors import (
     MajorizationNotVerified,
     MissingDerivative,
     ModulusNotCertified,
-    NotAProbabilityVector,
     NotMajorized,
-    OutOfInterval,
     ParseError,
     PointOutOfInterval,
     QuadratureFailure,
@@ -77,8 +73,6 @@ from .fink import (
     HigherOrderBound,
     KernelCondition,
     check_kernel_condition,
-    fink_identity_check,
-    fink_kernel,
     higher_order_sherman_bound,
     sherman_difference_identity,
 )
@@ -117,9 +111,7 @@ __all__ = [
     "MissingDerivative",
     "ModulusCertificate",
     "ModulusNotCertified",
-    "NotAProbabilityVector",
     "NotMajorized",
-    "OutOfInterval",
     "ParseError",
     "PointOutOfInterval",
     "QuadratureFailure",
@@ -142,8 +134,6 @@ __all__ = [
     "divergence_bounds",
     "divided_difference",
     "estimate_strong_modulus",
-    "fink_identity_check",
-    "fink_kernel",
     "full_chain",
     "function_from_name",
     "generate_weighted_pair",
@@ -152,11 +142,9 @@ __all__ = [
     "is_n_convex",
     "is_n_strongly_convex",
     "jensen_strong",
-    "kl_divergence",
     "lah_ribaric_strong",
     "majorizes",
     "resolve_modulus",
-    "shannon_entropy",
     "sherman_difference_identity",
     "sherman_strong",
     "shift_to_convex",

@@ -360,8 +360,7 @@ def is_n_strongly_convex(
     Refutation only: a pass proves nothing, as the strata keep the nodes
     away from the interval ends.  Bounds decide ``c`` with :func:`resolve_modulus`.
     """
-    if c < 0:
-        raise ValueError(f"modulus must be nonnegative, got {c}")
+    _require_valid_modulus(c)
     if n < 1:
         raise ValueError(f"order must be >= 1, got {n}")
     if sample_count < 1:

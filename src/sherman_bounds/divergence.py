@@ -22,8 +22,8 @@ single-row aggregation recovers the classical total-mass lower bound.
 Every link comes from the chain's own evaluators in :mod:`.bounds`.  Each
 generator is declared once, as an entry of the catalog table form of
 :mod:`.convexity`, and built by its builder; ``kl`` and ``renyi`` reuse
-the catalog functions ``xlogx`` and ``pow:a``.  Shannon entropy and
-Kullback-Leibler divergence are provided directly.
+the catalog functions ``xlogx`` and ``pow:a``.  The Kullback-Leibler
+divergence is the ``kl`` kernel's (``f(t) = t log t``).
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from typing import Optional
 
 import numpy as np
 
-from .bounds import WEIGHT_SUM_TOL, _chain_links, _finite, _SideSums
+from .bounds import _chain_links, _finite, _SideSums
 from .convexity import (
     FunctionSpec,
     ModulusCertificate,
@@ -50,7 +50,6 @@ from .convexity import (
 from .errors import (
     DimensionMismatch,
     ModulusNotCertified,
-    NotAProbabilityVector,
     RatioOutOfDomain,
     ValidationError,
     ZeroAggregateWeight,
@@ -286,38 +285,6 @@ def csiszar_divergence(pair: DistributionPair, kernel: DivergenceKernel) -> floa
         ValidationError: if the sum overflows the float range.
     """
     return _finite(pair._majorant_sums(kernel).f)[0]
-
-
-def _require_probability(values, label: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise NotAProbabilityVector(f"{label} must be a nonempty vector")
-    if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
-        raise NotAProbabilityVector(f"{label} must be strictly positive and finite")
-    total = math.fsum(arr)
-    if abs(total - 1.0) > WEIGHT_SUM_TOL:
-        raise NotAProbabilityVector(f"{label} sums to {total}, expected 1")
-    return arr
-
-
-def shannon_entropy(p) -> float:
-    """Shannon entropy ``H(p) = S_i p_i ln(1/p_i)`` in nats.
-
-    Clamped to ``[0, inf)``: the total mass may exceed one by
-    :data:`.bounds.WEIGHT_SUM_TOL`, and an entry above one adds a tiny
-    negative term.
-
-    Raises:
-        NotAProbabilityVector: if ``p`` is not strictly positive with
-            total mass one.
-    """
-    arr = _require_probability(p, "p")
-    return max(float(arr @ np.log(1.0 / arr)), 0.0)
-
-
-def kl_divergence(pair: DistributionPair) -> float:
-    """Kullback-Leibler divergence ``S_i q_i ln(q_i / p_i)`` in nats."""
-    return float(pair.q @ np.log(pair.ratios))
 
 
 @dataclass(frozen=True)

@@ -33,10 +33,6 @@ class PointOutOfInterval(DomainError):
     """A data point lies outside the declared working interval."""
 
 
-class OutOfInterval(DomainError):
-    """A kernel argument lies outside the interval the kernel is defined on."""
-
-
 class LengthMismatch(DomainError):
     """Two vectors that must have equal length do not."""
 
@@ -67,10 +63,6 @@ class KernelConditionIndefinite(DomainError):
 
 class RatioOutOfDomain(DomainError):
     """A likelihood ratio falls outside the generator's interval."""
-
-
-class NotAProbabilityVector(DomainError):
-    """Entries are not strictly positive or do not sum to one."""
 
 
 class ZeroAggregateWeight(DomainError):

@@ -1,4 +1,4 @@
-"""Identity-based representations of f and of Sherman-type differences.
+"""Sherman-type differences through the order-n identity, and the bounds it gives.
 
 For an n-times differentiable ``f`` on ``[alpha, beta]`` the n-th order
 two-point Taylor-like identity (Fink's identity) represents ``f(x)``
@@ -8,13 +8,15 @@ through the interval mean of ``f``, endpoint derivatives up to order
 
     k(t, x) = t - alpha  if t <= x,   t - beta  otherwise.
 
-Summing the identity over a weighted-majorized pair cancels the mean and
-first-order terms and yields an exact representation of the difference
-``S_a f(x) - S_b f(y)``; dropping the integral gives computable bounds
-whenever the combined kernel weight has one sign on the interval, which
-holds in particular for even ``n`` on verified pairs.  Applying that to
-the shift ``g = f - c*t^n`` of an ``f`` certified n-strongly convex with
-modulus ``c`` produces the higher-order analogue of the corrected bound.
+The module uses the identity only summed over a weighted-majorized pair,
+where the mean and first-order terms cancel: the result is an exact
+representation of the difference ``S_a f(x) - S_b f(y)``
+(:func:`sherman_difference_identity`).  Dropping the integral gives
+computable bounds whenever the combined kernel weight has one sign on the
+interval, which holds in particular for even ``n`` on verified pairs.
+Applying that to the shift ``g = f - c*t^n`` of an ``f`` certified
+n-strongly convex with modulus ``c`` produces the higher-order analogue
+of the corrected bound (:func:`higher_order_sherman_bound`).
 
 The kernel weight is a polynomial between consecutive data points; its
 sign is proved piece by piece from Bernstein coefficients.  Integrals are
@@ -43,7 +45,6 @@ from .convexity import (
 from .errors import (
     KernelConditionIndefinite,
     MajorizationNotVerified,
-    OutOfInterval,
     PointOutOfInterval,
     QuadratureFailure,
 )
@@ -59,23 +60,6 @@ BOUND_SLACK = 1e-9
 #: Subdivision limit of ``quad`` per piece; with a limit of 1, dqagse
 #: accepts no first step.
 MAX_SUBDIVISIONS = 200
-
-
-def _check_quad_tol(quad_tol: float) -> None:
-    if not (math.isfinite(quad_tol) and quad_tol > 0):
-        raise ValueError(f"quad_tol must be finite and positive, got {quad_tol}")
-
-
-def fink_kernel(t: float, x: float, alpha: float, beta: float) -> float:
-    """The two-branch kernel ``t - alpha`` (for ``t <= x``) or ``t - beta``.
-
-    Raises:
-        OutOfInterval: if ``t`` or ``x`` leaves ``[alpha, beta]``.
-    """
-    for label, value in (("t", t), ("x", x)):
-        if _first_outside(value, alpha, beta) is not None:
-            raise OutOfInterval(f"{label}={value} outside [{alpha}, {beta}]")
-    return t - alpha if t <= x else t - beta
 
 
 #: QUADPACK's dqk21 rule (Piessens et al. 1983): the 21 nodes on [-1, 1],
@@ -164,57 +148,6 @@ def _interior_cuts(alpha: float, beta: float, interior) -> np.ndarray:
     pts = np.asarray(interior, dtype=float)
     cuts = np.concatenate([[alpha], pts[(pts > alpha) & (pts < beta)], [beta]])
     return cuts[np.concatenate([[True], np.diff(cuts) != 0.0])]
-
-
-def fink_identity_check(
-    spec: FunctionSpec,
-    x: float,
-    n: int,
-    quad_tol: float = 1e-9,
-) -> float:
-    """Residual of the n-th order identity at one point.
-
-    Evaluates ``f(x)`` minus the identity's right-hand side (interval
-    mean, endpoint-derivative sum, kernel integral of ``f^(n)``); the
-    result should vanish up to quadrature error.  ``quad_tol`` is the
-    quadrature budget, absolute and relative alike (see
-    :func:`_integrate_pieces`).
-
-    Raises:
-        ValueError: if ``n < 1`` or ``quad_tol`` is not finite and positive.
-        MissingDerivative: if derivatives up to order ``n`` are missing.
-        PointOutOfInterval: if ``x`` leaves the interval.
-        QuadratureFailure: if the integrator gives up.
-    """
-    _check_quad_tol(quad_tol)
-    if n < 1:
-        raise ValueError(f"order must be >= 1, got {n}")
-    spec.require_inside([x])
-    spec.derivative(n)  # fail fast if unavailable
-    al, be = spec.interval
-    width = be - al
-    f = spec.evaluator
-    x = float(x)
-
-    mean = _integrate_pieces(lambda t, i: spec.evaluate(t), np.array([al, be]), quad_tol)
-    boundary = 0.0
-    for w in range(1, n):
-        dw = spec.derivative(w - 1)
-        boundary += (
-            (n - w)
-            / math.factorial(w)
-            * (dw(al) * (x - al) ** w - dw(be) * (x - be) ** w)
-            / width
-        )
-    cuts = _interior_cuts(al, be, [x])
-    # k(t, x) = t - alpha on the pieces left of x, t - beta right of it
-    offsets = np.where(cuts[:-1] < x, al, be)
-
-    def integrand(t, i):
-        return (x - t) ** (n - 1) * (t - offsets[i]) * spec.evaluate(t, order=n)
-
-    kernel_term = _integrate_pieces(integrand, cuts, quad_tol) / (math.factorial(n - 1) * width)
-    return float(f(x) - (n / width * mean - boundary + kernel_term))
 
 
 @dataclass(frozen=True, slots=True)
@@ -507,7 +440,8 @@ def sherman_difference_identity(
         MissingDerivative: if derivatives up to order ``n`` are missing.
         QuadratureFailure: if the integrator gives up.
     """
-    _check_quad_tol(quad_tol)
+    if not (math.isfinite(quad_tol) and quad_tol > 0):
+        raise ValueError(f"quad_tol must be finite and positive, got {quad_tol}")
     lhs, boundary = _difference_terms(x, y, spec, n)
     al, be = spec.interval
     weight = _KernelWeight(x, y, n, al, be)

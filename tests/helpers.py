@@ -19,6 +19,23 @@ def fsum_dot(weights, values) -> float:
     return math.fsum(float(w) * float(v) for w, v in zip(weights, values))
 
 
+def kl_fsum(p, q) -> float:
+    """Kullback-Leibler divergence ``S_i q_i log(q_i / p_i)`` in nats, term by term."""
+    return math.fsum(float(qi) * math.log(float(qi) / float(pi)) for pi, qi in zip(p, q))
+
+
+def entropy_via_kl(p, kernel) -> float:
+    """``H(p) = log n - D(p || u)`` for the uniform ``u``, with ``kernel`` a ``kl`` kernel.
+
+    Not an oracle: the divergence is the package's ``csiszar_divergence``.
+    """
+    from sherman_bounds import DistributionPair, csiszar_divergence
+
+    p = np.asarray(p, dtype=float)
+    uniform = np.full(p.size, 1.0 / p.size)
+    return math.log(p.size) - csiszar_divergence(DistributionPair(uniform, p), kernel)
+
+
 def dd_recursive(points, f) -> float:
     """Textbook recursive divided difference; distinct nodes only."""
     pts = [float(p) for p in points]

@@ -14,20 +14,19 @@ import numpy as np
 from sherman_bounds import (
     DistributionPair,
     check_kernel_condition,
+    csiszar_divergence,
     divided_difference,
     divergence_bounds,
-    fink_identity_check,
     full_chain,
     function_from_name,
     get_kernel,
     higher_order_sherman_bound,
-    kl_divergence,
     majorizes,
-    shannon_entropy,
     sherman_difference_identity,
     sherman_strong,
 )
 from helpers import (
+    entropy_via_kl,
     fsum_dot,
     random_chain_instance,
     random_doubly_stochastic,
@@ -118,11 +117,12 @@ def test_criterion_4_fink_identity():
     spec = function_from_name("exp", (0.0, 1.0))
     worst = 0.0
     for n in (1, 2, 3, 4):
-        for x in rng.uniform(0.0, 1.0, 50):
-            worst = max(worst, abs(fink_identity_check(spec, float(x), n)))
+        for _ in range(50):
+            x, y, _ = random_chain_instance(rng, (0.0, 1.0))
+            worst = max(worst, abs(sherman_difference_identity(x, y, spec, n).residual))
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-7 and elapsed < 5.0
-    report(ok, 4, f"n in 1..4, 50 points each: max |residual| = {worst:.3e}, {elapsed:.2f}s")
+    report(ok, 4, f"n in 1..4, 50 pairs each: max |residual| = {worst:.3e}, {elapsed:.2f}s")
     assert worst <= 1e-7
     assert elapsed < 5.0
 
@@ -237,22 +237,25 @@ def test_criterion_8_divergence_sandwich():
 
 
 def test_criterion_9_entropy_bounds():
+    # H(p) = log n - KL(p || u) for the uniform u; every ratio below lies in
+    # [0.05/16, 320], inside the kernel's interval
+    kernel = get_kernel("kl", (1e-3, 1e3))
     worst_uniform = 0.0
     for n in range(2, 65):
-        h = shannon_entropy(np.full(n, 1.0 / n))
+        h = entropy_via_kl(np.full(n, 1.0 / n), kernel)
         worst_uniform = max(worst_uniform, abs(h - math.log(n)))
     rng = np.random.default_rng(109)
     range_ok = True
     for _ in range(1000):
         n = int(rng.integers(2, 17))
-        h = shannon_entropy(random_probability(rng, n))
+        h = entropy_via_kl(random_probability(rng, n), kernel)
         if not (0.0 <= h <= math.log(n) + 1e-12):
             range_ok = False
     worst_kl = math.inf
     for _ in range(1000):
         n = int(rng.integers(2, 17))
         pair = DistributionPair(random_probability(rng, n), random_probability(rng, n))
-        worst_kl = min(worst_kl, kl_divergence(pair))
+        worst_kl = min(worst_kl, csiszar_divergence(pair, kernel))
     ok = worst_uniform <= 1e-12 and range_ok and worst_kl >= -1e-12
     report(
         ok, 9,

@@ -323,8 +323,10 @@ class TestSampledConvexity:
             assert is_n_strongly_convex(spec, 2, cert.modulus).passed, name
 
     def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            is_n_strongly_convex(SQUARE01, 2, -0.5)
+        # a NaN threshold would fail every sample and report a fake witness
+        for c in (-0.5, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="modulus must be finite and nonnegative"):
+                is_n_strongly_convex(SQUARE01, 2, c)
         with pytest.raises(ValueError):
             is_n_convex(SQUARE01, 0)
         with pytest.raises(ValueError, match="sample_count"):

@@ -1,4 +1,4 @@
-"""Identity checks, kernel sign certificates, and higher-order bounds."""
+"""The order-n difference identity, kernel sign certificates, and higher-order bounds."""
 
 import gc
 import inspect
@@ -18,13 +18,10 @@ from sherman_bounds import (
     MajorizationNotVerified,
     MissingDerivative,
     ModulusNotCertified,
-    OutOfInterval,
     PointOutOfInterval,
     QuadratureFailure,
     WeightedVector,
     check_kernel_condition,
-    fink_identity_check,
-    fink_kernel,
     full_chain,
     function_from_name,
     higher_order_sherman_bound,
@@ -33,7 +30,7 @@ from sherman_bounds import (
 )
 import sherman_bounds
 from sherman_bounds import fink
-from helpers import fsum_dot, gauss_legendre, random_chain_instance, two_sort_kernel_weight
+from helpers import fsum_dot, gauss_legendre_pieces, random_chain_instance, two_sort_kernel_weight
 
 EXP01 = function_from_name("exp", (0.0, 1.0))
 
@@ -113,11 +110,10 @@ ROOT01 = FunctionSpec(
 
 
 class TestQuadratureConfig:
-    """The identities take one budget, ``quad_tol``; the subdivision limit is a constant."""
+    """The identity takes one budget, ``quad_tol``; the subdivision limit is a constant."""
 
     def test_defaults(self):
-        for function in (fink_identity_check, sherman_difference_identity):
-            assert inspect.signature(function).parameters["quad_tol"].default == 1e-9
+        assert inspect.signature(sherman_difference_identity).parameters["quad_tol"].default == 1e-9
         assert fink.MAX_SUBDIVISIONS == 200
 
     def test_validation(self):
@@ -125,75 +121,71 @@ class TestQuadratureConfig:
         # an infinite budget would pass any residual
         for quad_tol in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="quad_tol"):
-                fink_identity_check(EXP01, 0.5, 2, quad_tol)
-            with pytest.raises(ValueError, match="quad_tol"):
                 sherman_difference_identity(x, y, EXP01, 2, quad_tol)
 
 
-class TestFinkKernel:
-    def test_two_branches(self):
-        assert fink_kernel(0.2, 0.5, 0.0, 1.0) == 0.2
-        assert fink_kernel(0.5, 0.5, 0.0, 1.0) == 0.5  # t <= x takes the left branch
-        assert fink_kernel(0.8, 0.5, 0.0, 1.0) == 0.8 - 1.0
-
-    def test_out_of_interval(self):
-        with pytest.raises(OutOfInterval):
-            fink_kernel(1.5, 0.5, 0.0, 1.0)
-        with pytest.raises(OutOfInterval):
-            fink_kernel(0.5, -0.5, 0.0, 1.0)
+#: A pair whose points sit at both ends of [0, 1]: two pieces, cut at 0.5.
+ENDS_X = WeightedVector([0.0, 1.0], [1.0, 1.0])
+ENDS_Y = WeightedVector([0.5], [2.0])
 
 
 class TestFinkIdentity:
+    """Fink's identity summed over a majorized pair: exactness, oracles, guards, budget."""
+
     def test_linear_first_order_is_exact(self):
         lin = FunctionSpec("lin", lambda t: 2.0 * t + 1.0, (lambda t: 2.0,), (0.0, 1.0))
-        for x in (0.0, 0.3, 0.75, 1.0):
-            assert abs(fink_identity_check(lin, x, 1)) <= 1e-12
+        rng = np.random.default_rng(55)
+        for _ in range(10):
+            x, y, _ = random_chain_instance(rng, (0.0, 1.0))
+            assert abs(sherman_difference_identity(x, y, lin, 1).residual) <= 1e-12
 
     def test_square_second_order_against_quadrature_oracle(self):
+        # no boundary terms at n = 2: lhs = integral of 2 W(t) over [0, 1]
         spec = function_from_name("square", (0.0, 1.0))
-        x = 0.37
-        residual = fink_identity_check(spec, x, 2)
-        assert abs(residual) <= 1e-9
-        # reassemble the right-hand side with a fixed-order quadrature oracle
-        mean = 2.0 * gauss_legendre(spec.evaluator, 0.0, 1.0)
-        boundary = (2 - 1) / 1.0 * (spec.evaluator(0.0) * x - spec.evaluator(1.0) * (x - 1.0))
-        kern = gauss_legendre(lambda t: (x - t) * t * 2.0, 0.0, x) + gauss_legendre(
-            lambda t: (x - t) * (t - 1.0) * 2.0, x, 1.0
-        )
-        rhs = mean - boundary + kern
-        assert abs(spec.evaluator(x) - rhs) <= 1e-9
+        x, y, _ = random_chain_instance(np.random.default_rng(56), (0.0, 1.0))
+        report = sherman_difference_identity(x, y, spec, 2)
+        assert abs(report.residual) <= 1e-9
+        # W is a quadratic on each piece, so fixed-order panels are exact there
+        cuts = [0.0, *x.points.tolist(), *y.points.tolist(), 1.0]
+        oracle = gauss_legendre_pieces(
+            lambda t: 2.0 * fsum_kernel_weight(t, x, y, 2, 0.0, 1.0), cuts)
+        assert abs(report.integral_term - oracle) <= 1e-12
+        lhs = fsum_dot(x.weights, [t * t for t in x.points]) - fsum_dot(
+            y.weights, [t * t for t in y.points])
+        assert abs(lhs - oracle) <= 1e-9
 
     def test_exp_orders_one_to_four(self):
-        for n in range(1, 5):
-            for x in (0.0, 0.42, 1.0):
-                assert abs(fink_identity_check(EXP01, x, n)) <= 1e-7
+        # data points at both interval ends and inside
+        inside = (WeightedVector([0.0, 0.42, 1.0], [1.0, 2.0, 1.0]),
+                  WeightedVector([0.3, 0.62], [2.0, 2.0]))
+        for x, y in ((ENDS_X, ENDS_Y), inside):
+            for n in range(1, 5):
+                assert abs(sherman_difference_identity(x, y, EXP01, n).residual) <= 1e-7
 
     def test_point_outside_interval(self):
+        x = WeightedVector([0.5, 1.5], [1.0, 1.0])
         with pytest.raises(PointOutOfInterval):
-            fink_identity_check(EXP01, 1.5, 2)
+            sherman_difference_identity(x, WeightedVector([1.0], [2.0]), EXP01, 2)
 
     def test_missing_derivative(self):
         only_one = FunctionSpec("f", math.exp, (math.exp,), (0.0, 1.0))
         with pytest.raises(MissingDerivative):
-            fink_identity_check(only_one, 0.5, 2)
-
-    def test_order_must_be_positive(self):
-        with pytest.raises(ValueError):
-            fink_identity_check(EXP01, 0.5, 0)
+            sherman_difference_identity(ENDS_X, ENDS_Y, only_one, 2)
 
     def test_budget_exhaustion_is_reported(self, monkeypatch):
         monkeypatch.setattr(fink, "MAX_SUBDIVISIONS", 1)
+        x, y, _ = random_chain_instance(np.random.default_rng(51), (0.0, 1.0))
         with pytest.raises(QuadratureFailure):
-            fink_identity_check(steep_spec(), 0.37, 2, 1e-13)
+            sherman_difference_identity(x, y, steep_spec(), 2, 1e-13)
 
     def test_budget_message_names_the_applied_threshold(self, monkeypatch):
-        # value 1e3 makes the relative threshold 10 * 1e-9 * 1e3 = 1e-5 apply;
-        # one subdivision makes every piece reach the patched quad
+        # two pieces of value 1e3 make the relative threshold 10 * 1e-9 * 2e3 = 2e-5
+        # apply; one subdivision makes every piece reach the patched quad
         monkeypatch.setattr(fink, "MAX_SUBDIVISIONS", 1)
         monkeypatch.setattr(fink, "quad", lambda *args, **kwargs: (1e3, 1.0, {"neval": 21}))
         with pytest.raises(QuadratureFailure) as info:
-            fink_identity_check(EXP01, 0.5, 1)
-        assert f"exceeds budget {max(10 * 1e-9, 10 * 1e-9 * 1e3)}" in str(info.value)
+            sherman_difference_identity(ENDS_X, ENDS_Y, EXP01, 1)
+        assert f"exceeds budget {max(10 * 1e-9, 10 * 1e-9 * 2e3)}" in str(info.value)
         assert "1e-09" not in str(info.value)
 
 
@@ -229,17 +221,20 @@ class TestGaussKronrodPass:
         for tol in (1e-9, 1e-13):
             for rate in (8.0, 40.0):
                 for n in (1, 2, 3):
-                    fink_identity_check(steep_spec(rate), 0.37, n, tol)
-        # so steep a function that the first error estimates saturate at
+                    sherman_difference_identity(ENDS_X, ENDS_Y, steep_spec(rate), n, tol)
+        # so steep a function that a first error estimate saturates at
         # resasc (~5e41), which dqagse never accepts, even within the budget
-        fink_identity_check(steep_spec(100.0), 0.37, 1, 1e60)
+        sherman_difference_identity(ENDS_X, ENDS_Y, steep_spec(100.0), 2, 1e60)
         return captured
 
     def test_pieces_agree_with_quad(self, monkeypatch):
-        rejected = 0
+        rejected = saturated = 0
         for integrand, cuts, tol in self.captured_integrals(monkeypatch):
             result, abserr, accepted = fink._first_step(integrand, cuts, tol)
             rejected += int((~accepted).sum())
+            # within the budget yet rejected: the estimate equals resasc
+            within = abserr <= np.maximum(tol / result.size, tol * np.abs(result))
+            saturated += int((within & ~accepted).sum())
             for i, (lo, hi) in enumerate(zip(cuts[:-1], cuts[1:])):
                 kwargs = dict(args=(i,), epsabs=tol / result.size, epsrel=tol, full_output=1)
                 # one subdivision stops quad after its first step
@@ -252,7 +247,7 @@ class TestGaussKronrodPass:
                 assert abs(abserr[i] - first[1]) <= 1e-6 * first[1]
                 full = quad(integrand, lo, hi, limit=fink.MAX_SUBDIVISIONS, **kwargs)
                 assert accepted[i] == (len(full) == 3 and full[2]["neval"] == 21)
-        assert rejected > 0
+        assert rejected > saturated > 0
 
     def test_smooth_identity_makes_no_quad_call(self, monkeypatch):
         monkeypatch.setattr(fink, "quad", lambda *args, **kwargs: pytest.fail("quad called"))
@@ -261,7 +256,6 @@ class TestGaussKronrodPass:
             x, y, _ = random_chain_instance(rng, (0.0, 1.0))
             report = sherman_difference_identity(x, y, EXP01, n)
             assert abs(report.residual) <= 1e-9
-            assert abs(fink_identity_check(EXP01, 0.42, n)) <= 1e-9
 
 
 class TestKernelCondition:
