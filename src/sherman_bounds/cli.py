@@ -81,7 +81,6 @@ class RunConfig:
     input_path: str
     output_path: Optional[str] = None
     kernel: Optional[str] = None
-    alpha: Optional[float] = None
     interval: Optional[tuple[float, float]] = None
     modulus: Optional[float] = None  # None selects auto-certification
     order: int = 2
@@ -263,7 +262,7 @@ def _run_divergence(config: RunConfig):
         lo = float(pair.ratios.min())
         hi = float(pair.ratios.max())
         interval = (max(lo - 1e-9, 0.5 * lo), hi + 1e-9)
-    kernel = get_kernel(_require_kernel(config), interval, alpha=config.alpha)
+    kernel = get_kernel(_require_kernel(config), interval)
     logger.info("divergence: kernel %s on %s", kernel.name, kernel.interval)
     if "R" in data:
         matrix = StochasticMatrix(_numeric_matrix(data["R"], "R"), "column")
@@ -330,7 +329,6 @@ def _report(config: RunConfig, **fields: Any) -> dict:
         "input": config.input_path,
         "output": config.output_path,
         "kernel": config.kernel,
-        "alpha": config.alpha,
         "interval": None if config.interval is None else list(config.interval),
         "modulus": "auto" if config.modulus is None else config.modulus,
         "order": config.order,
@@ -403,8 +401,7 @@ def _order_argument(text: str) -> int:
 
 #: Options besides ``--input`` and ``--output``; absent, they keep the RunConfig default.
 _OPTIONS = {
-    "--kernel": dict(help="function or divergence kernel name"),
-    "--alpha": dict(type=_positive_float, help="Renyi exponent (> 1)"),
+    "--kernel": dict(help="function or divergence kernel name, e.g. pow:3 or renyi:2"),
     "--interval": dict(type=_interval_argument, metavar="A,B",
                        help="working interval; defaults to the data hull"),
     "--modulus": dict(type=_modulus_argument, metavar="AUTO|C",
@@ -418,7 +415,7 @@ _SUBCOMMANDS = [
     ("chain", "evaluate the two-sided inequality chain on a weighted instance",
      ("--kernel", "--interval", "--modulus")),
     ("divergence", "certified sandwich around a Csiszar f-divergence",
-     ("--kernel", "--alpha", "--interval", "--modulus")),
+     ("--kernel", "--interval", "--modulus")),
     ("majorize", "check majorization and build a doubly stochastic witness", ()),
     ("verify-identity", "decompose a difference by the order-n identity",
      ("--kernel", "--interval", "--order", "--quad-tol")),

@@ -255,7 +255,8 @@ def estimate_strong_modulus(spec: FunctionSpec, n: int) -> ModulusCertificate:
     nodes, verdict = spec._min_nodes, "certified"
     if nodes is None:
         nodes, verdict = np.linspace(spec.alpha, spec.beta, DEFAULT_MODULUS_GRID), "sampled"
-    vals = spec.evaluate(nodes, n) / math.factorial(n)
+    with np.errstate(all="ignore"):  # an overflow is the "indeterminate" verdict below
+        vals = spec.evaluate(nodes, n) / math.factorial(n)
     if not np.all(np.isfinite(vals)):
         return ModulusCertificate(n, 0.0, len(nodes), "indeterminate", float("nan"))
     gmin = float(vals.min())
@@ -523,6 +524,17 @@ _FUNCTIONS = {
 }
 
 
+def _catalog_exponent(name: str) -> float:
+    """The exponent ``a`` of ``pow:a`` or ``renyi:a``; ValidationError unless a finite number."""
+    try:
+        exponent = float(name.partition(":")[2])
+    except ValueError as exc:
+        raise ValidationError(f"bad exponent in name {name!r}") from exc
+    if not math.isfinite(exponent):
+        raise ValidationError(f"exponent {exponent} of name {name!r} is not finite")
+    return exponent
+
+
 def function_from_name(name: str, interval: tuple[float, float]) -> FunctionSpec:
     """Build a catalog function by name on the given interval.
 
@@ -537,12 +549,7 @@ def function_from_name(name: str, interval: tuple[float, float]) -> FunctionSpec
     key = name.strip().lower()
     entry = _FUNCTIONS.get(key)
     if key.startswith("pow:"):
-        try:
-            exponent = float(key.split(":", 1)[1])
-        except ValueError as exc:
-            raise ValidationError(f"bad exponent in function name {name!r}") from exc
-        if not math.isfinite(exponent):
-            raise ValidationError(f"exponent {exponent} of function name {name!r} is not finite")
+        exponent = _catalog_exponent(key)
         if not (exponent.is_integer() and exponent >= 0) and float(interval[0]) <= 0.0:
             raise ValidationError(
                 f"{key} with non-integer exponent {exponent} needs a positive interval"

@@ -40,6 +40,7 @@ from .convexity import (
     FunctionSpec,
     ModulusCertificate,
     _CatalogEntry,
+    _catalog_exponent,
     _catalog_spec,
     _certified_modulus,
     _first_outside,
@@ -198,27 +199,23 @@ _GENERATORS = {
 }
 
 
-def get_kernel(
-    name: str,
-    interval: Optional[tuple[float, float]] = None,
-    *,
-    alpha: Optional[float] = None,
-) -> DivergenceKernel:
+def get_kernel(name: str, interval: Optional[tuple[float, float]] = None) -> DivergenceKernel:
     """Build a catalog kernel by name on a ratio interval.
 
     Known names: ``kl``, ``hellinger``, ``variational``, ``harmonic``,
-    ``bhattacharya``, ``triangular``, ``chi_square``, and ``renyi``
-    (``alpha > 1`` via the keyword or a ``renyi:a`` suffix, or both if
-    equal).  A strongly convex kernel's certificate is computed on
+    ``bhattacharya``, ``triangular``, ``chi_square``, and ``renyi:a`` for
+    a finite exponent ``a > 1``.  A kernel's name rebuilds it: ``renyi:a``
+    spells ``a`` as ``f"{a:g}"`` when that parses back to ``a``, else as
+    ``repr(a)``.  A strongly convex kernel's certificate is computed on
     construction and must be ``"certified"`` or ``"sampled"``.
 
     Raises:
-        ValidationError: on an unknown name, a nonpositive interval, a
-            Renyi exponent not above one or not finite, or an ``alpha`` it
-            would ignore.
-        ModulusNotCertified: if certification unexpectedly fails.
+        ValidationError: on an unknown name, a nonpositive interval, or a
+            Renyi exponent that is not a number, not finite or not above one.
+        ModulusNotCertified: if certification fails.
     """
-    key = name.strip().lower().replace("-", "_")
+    stem, colon, suffix = name.strip().lower().partition(":")
+    key = stem.replace("-", "_") + colon + suffix  # "-" in an exponent is a sign
     if interval is None:
         interval = DEFAULT_KERNEL_INTERVAL
     lo, hi = float(interval[0]), float(interval[1])
@@ -226,28 +223,14 @@ def get_kernel(
         raise ValidationError(f"ratio interval must satisfy 0 < lo < hi, got {interval}")
     interval = (lo, hi)
 
-    if key.startswith("renyi"):
-        if ":" in key:
-            try:
-                suffix = float(key.split(":", 1)[1])
-            except ValueError as exc:
-                raise ValidationError(f"bad exponent in kernel name {name!r}") from exc
-            if alpha is not None and alpha != suffix:
-                raise ValidationError(f"alpha={alpha} differs from the exponent of {name!r}")
-            alpha = suffix
-        if alpha is None:
-            raise ValidationError("renyi kernel needs an exponent alpha > 1")
+    if stem == "renyi":
+        alpha = _catalog_exponent(key)
         if not alpha > 1.0:
             raise ValidationError(f"renyi exponent must exceed 1, got {alpha}")
-        if alpha == math.inf:
-            raise ValidationError(f"renyi exponent must be finite, got {alpha}")
-        key = f"renyi:{alpha:g}"
+        key = f"renyi:{alpha:g}" if float(f"{alpha:g}") == alpha else f"renyi:{alpha!r}"
         # the pow:a entry under the kernel's name; replace() would drop its nodes
-        entry = _CatalogEntry(None, (1.0, float(alpha), -0.0))
-        spec = _catalog_spec(key, entry, interval)
+        spec = _catalog_spec(key, _CatalogEntry(None, (1.0, alpha, -0.0)), interval)
         convexity_class = _STRONGLY_CONVEX
-    elif alpha is not None:
-        raise ValidationError(f"alpha applies to the renyi kernel only, not {name!r}")
     elif key == "kl":
         spec, convexity_class = function_from_name("xlogx", interval), _STRONGLY_CONVEX
     elif key in _GENERATORS:

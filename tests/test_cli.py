@@ -266,22 +266,21 @@ class TestDivergenceCommand:
         assert report["error_type"] == "RatioOutOfDomain"
         assert report["exit_status"] == "error"
 
-    def test_renyi_alpha_flag(self, tmp_path, capsys):
+    def test_renyi_exponent_suffix(self, tmp_path, capsys):
         data = {"p": [0.5, 0.5], "q": [0.4, 0.6]}
         path = write_json(tmp_path / "r.json", data)
-        code, report = run_cli(
-            capsys, "divergence", "--input", path, "--kernel", "renyi", "--alpha", "2"
-        )
+        code, report = run_cli(capsys, "divergence", "--input", path, "--kernel", "renyi:2")
         assert code == 0
         assert report["result"]["kernel"] == "renyi:2"
+        assert "alpha" not in report["config"]
 
-    def test_alpha_for_another_kernel_exits_two(self, tmp_path, capsys):
+    def test_alpha_for_another_kernel_exits_two(self, tmp_path):
+        # the exponent is the kernel's renyi:a suffix; --alpha is an unknown flag for every kernel
         path = write_json(tmp_path / "r.json", {"p": [0.5, 0.5], "q": [0.4, 0.6]})
-        code, report = run_cli(
-            capsys, "divergence", "--input", path, "--kernel", "kl", "--alpha", "2"
-        )
-        assert code == 2
-        assert report["error_type"] == "ValidationError"
+        for kernel in ("kl", "renyi:2"):
+            with pytest.raises(SystemExit) as excinfo:
+                main(["divergence", "--input", path, "--kernel", kernel, "--alpha", "2"])
+            assert excinfo.value.code == 2
 
     def test_csv_parse_errors(self, tmp_path, capsys):
         three = tmp_path / "three.csv"
@@ -499,7 +498,15 @@ class TestErrorExits:
         path = write_json(tmp_path / "d.json", {"p": [0.5, 0.5], "q": [0.2, 0.8]})
         code, report = run_cli(capsys, "divergence", "--input", path, "--kernel", kernel)
         assert code == 2 and report["error_type"] == "ValidationError"
-        assert "must be finite" in report["error"]
+        assert "is not finite" in report["error"]
+
+    def test_overflowing_modulus_exits_three_without_a_warning(self, tmp_path, capsys):
+        path = write_json(tmp_path / "d.json", {"p": [0.5, 0.5], "q": [0.2, 0.8]})
+        argv = ["divergence", "--input", path, "--kernel", "renyi:400", "--interval", "0.1,10"]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["error_type"] == "ModulusNotCertified"
+        assert "Warning" not in captured.err
 
     def test_kernel_required(self, tmp_path, capsys):
         path = write_json(tmp_path / "c.json", CHAIN_INPUT)
@@ -574,11 +581,10 @@ class TestErrorExits:
         assert report_s["result"] == report_d["result"]
 
     @pytest.mark.parametrize("alpha", ["nan", "inf", "-2"])
-    def test_alpha_must_be_finite_and_positive(self, tmp_path, alpha):
-        argv = ["divergence", "--input", str(tmp_path / "d.json"), "--kernel", "renyi"]
-        with pytest.raises(SystemExit) as excinfo:
-            main([*argv, "--alpha", alpha])
-        assert excinfo.value.code == 2
+    def test_alpha_must_be_finite_and_positive(self, tmp_path, capsys, alpha):
+        path = write_json(tmp_path / "d.json", {"p": [0.5, 0.5], "q": [0.2, 0.8]})
+        code, report = run_cli(capsys, "divergence", "--input", path, "--kernel", "renyi:" + alpha)
+        assert code == 2 and report["error_type"] == "ValidationError"
 
     def test_argparse_rejections(self, tmp_path):
         path = str(tmp_path / "c.json")
@@ -588,10 +594,13 @@ class TestErrorExits:
             ["chain", "--input", path, "--modulus", "-0.5"],
             ["verify-identity", "--input", path, "--order", "0"],
             ["verify-identity", "--input", path, "--quad-tol", "0"],
+            ["verify-identity", "--input", path, "--quad-tol", "nan"],
+            ["verify-identity", "--input", path, "--quad-tol", "inf"],
+            ["verify-identity", "--input", path, "--quad-tol", "-2"],
             # values that are not numbers
             ["chain", "--input", path, "--interval", "0,one"],
             ["chain", "--input", path, "--modulus", "half"],
-            ["divergence", "--input", path, "--kernel", "renyi", "--alpha", "two"],
+            ["verify-identity", "--input", path, "--quad-tol", "two"],
             ["verify-identity", "--input", path, "--order", "2.5"],
             ["chain", "--input", path, "--grid", "1"],  # the flag is gone
             # flags a subcommand would ignore are not registered on it

@@ -176,6 +176,12 @@ class TestModulusCertification:
         assert cert.verdict == "indeterminate"
         assert cert.modulus == 0.0
 
+    def test_overflow_is_indeterminate_without_a_warning(self):
+        # f'' = 400 * 399 * t**398 overflows at t = 10; the filter turns a warning into an error
+        cert = estimate_strong_modulus(function_from_name("pow:400", (0.1, 10.0)), 2)
+        assert cert.verdict == "indeterminate"
+        assert cert.modulus == 0.0
+
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
             estimate_strong_modulus(SQUARE01, 0)

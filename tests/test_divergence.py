@@ -163,7 +163,7 @@ class TestCatalog:
 
     def test_name_normalization_and_renyi(self):
         assert get_kernel(" Chi-Square ").name == "chi_square"
-        assert get_kernel("renyi", alpha=2.5).name == "renyi:2.5"
+        assert get_kernel(" Renyi:2.5 ").name == "renyi:2.5"
         assert get_kernel("renyi:3").generator.evaluator(2.0) == 8.0
         with pytest.raises(ValidationError):
             get_kernel("renyi")
@@ -179,18 +179,50 @@ class TestCatalog:
             get_kernel("kl", (2.0, 1.0))
 
     def test_alpha_it_would_ignore_is_rejected(self):
-        assert get_kernel("renyi:2", alpha=2.0).name == "renyi:2"
-        with pytest.raises(ValidationError, match="renyi kernel only"):
-            get_kernel("kl", alpha=3.0)
-        with pytest.raises(ValidationError, match="differs from the exponent"):
-            get_kernel("renyi:2", alpha=3.0)
+        # the Renyi exponent has one spelling, the renyi:a suffix; there is no alpha keyword
+        for name in ("renyi:2", "kl"):
+            with pytest.raises(TypeError, match="alpha"):
+                get_kernel(name, alpha=2.0)
 
-    @pytest.mark.parametrize("name, alpha", [
-        ("renyi:inf", None), ("renyi:1e400", None), ("renyi", math.inf), ("renyi:inf", math.inf),
+    @pytest.mark.parametrize("name", ["renyi:inf", "renyi:-inf", "renyi:nan", "renyi:1e400"])
+    def test_non_finite_renyi_exponent_is_rejected(self, name):
+        with pytest.raises(ValidationError, match=r"exponent (nan|-?inf) of name .* is not finite"):
+            get_kernel(name)
+
+    def test_minus_sign_of_an_exponent_is_kept(self):
+        kernel = get_kernel("renyi:15e-1")
+        assert kernel.name == "renyi:1.5"
+        assert kernel.generator.evaluator(4.0) == 8.0
+
+    @pytest.mark.parametrize("text", ["2.0000001", "1.0000000000000002"])
+    def test_name_keeps_every_digit_of_the_exponent(self, text):
+        kernel = get_kernel("renyi:" + text)
+        assert kernel.name == "renyi:" + text
+        assert kernel.generator.evaluator(7.0) == 7.0 ** float(text)
+
+    def test_overflowing_certificate_is_not_certified(self):
+        # f'' = 400 * 399 * t**398 overflows at t = 10: no warning, a typed error
+        with pytest.raises(ModulusNotCertified, match="indeterminate"):
+            get_kernel("renyi:400", (0.1, 10.0))
+
+    @pytest.mark.parametrize("name", [
+        *(kernel.name for kernel in catalog()),
+        *(f"renyi:{a}" for a in ("1.5", "15e-1", "2", "2.5", "2.0000001", "7")),
     ])
-    def test_non_finite_renyi_exponent_is_rejected(self, name, alpha):
-        with pytest.raises(ValidationError, match="renyi exponent must be finite, got inf"):
-            get_kernel(name, alpha=alpha)
+    def test_reported_name_rebuilds_the_kernel(self, name):
+        assert_rebuilds(get_kernel(name, (0.5, 7.0)))
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(text=st.one_of(
+        st.floats(1.0, 20.0, exclude_min=True).map(repr),
+        st.integers(1, 6).flatmap(
+            lambda k: st.integers(10**k + 1, 20 * 10**k).map(lambda m: f"{m}e-{k}")
+        ),
+    ))
+    def test_any_renyi_name_parses_back_and_rebuilds(self, text):
+        kernel = get_kernel("renyi:" + text)
+        assert float(kernel.name.partition(":")[2]) == float(text)
+        assert_rebuilds(kernel)
 
     def test_generators_carry_catalog_order_derivatives(self):
         for interval in (None, (0.5, 2.0)):
@@ -198,6 +230,14 @@ class TestCatalog:
                 # |t - 1| has no derivative at 1, so the variational generator carries none
                 expected = 0 if kernel.name == "variational" else CATALOG_ORDER
                 assert kernel.generator.max_order == expected, kernel.name
+
+
+def assert_rebuilds(kernel: DivergenceKernel) -> None:
+    """``get_kernel(kernel.name, kernel.interval)`` has the kernel's name and, bit for bit, values."""
+    again = get_kernel(kernel.name, kernel.interval)
+    assert again.name == kernel.name
+    for t in (0.5, 2.0, 7.0):
+        assert float(again.generator.evaluator(t)).hex() == float(kernel.generator.evaluator(t)).hex()
 
 
 class TestCsiszarDivergence:
