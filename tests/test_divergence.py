@@ -184,8 +184,14 @@ class TestCatalog:
             with pytest.raises(TypeError, match="alpha"):
                 get_kernel(name, alpha=2.0)
 
-    @pytest.mark.parametrize("name", ["renyi:inf", "renyi:-inf", "renyi:nan", "renyi:1e400"])
-    def test_non_finite_renyi_exponent_is_rejected(self, name):
+    @pytest.mark.parametrize("name, alpha", [
+        ("renyi:inf", None), ("renyi:-inf", None), ("renyi:nan", None), ("renyi:1e400", None),
+        ("renyi", math.inf), ("renyi:inf", math.inf),
+    ])
+    def test_non_finite_renyi_exponent_is_rejected(self, name, alpha):
+        # a float exponent held by the caller is spelled into the renyi:a suffix with repr
+        if alpha is not None:
+            name = f"{name.partition(':')[0]}:{alpha!r}"
         with pytest.raises(ValidationError, match=r"exponent (nan|-?inf) of name .* is not finite"):
             get_kernel(name)
 
