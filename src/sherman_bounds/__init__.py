@@ -17,14 +17,10 @@ from .bounds import (
     BoundChain,
     CHAIN_SLACK,
     JensenBound,
-    LahRibaricBound,
-    ShermanBound,
     converse_sherman_strong,
     full_chain,
     jensen_strong,
-    lah_ribaric_strong,
     resolve_modulus,
-    sherman_strong,
 )
 from .convexity import (
     FunctionSpec,
@@ -104,7 +100,6 @@ __all__ = [
     "JensenBound",
     "KernelCondition",
     "KernelConditionIndefinite",
-    "LahRibaricBound",
     "LengthMismatch",
     "MajorizationCert",
     "MajorizationNotVerified",
@@ -117,7 +112,6 @@ __all__ = [
     "QuadratureFailure",
     "RatioOutOfDomain",
     "SampleVerdict",
-    "ShermanBound",
     "ShermanBoundsError",
     "StochasticMatrix",
     "ValidationError",
@@ -142,11 +136,9 @@ __all__ = [
     "is_n_convex",
     "is_n_strongly_convex",
     "jensen_strong",
-    "lah_ribaric_strong",
     "majorizes",
     "resolve_modulus",
     "sherman_difference_identity",
-    "sherman_strong",
     "shift_to_convex",
     "verify_weighted_majorization",
 ]

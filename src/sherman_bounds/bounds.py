@@ -12,14 +12,15 @@ chain reads, writing ``S_b f(y)`` for ``sum_i b_i f(y_i)`` and so on::
 
 with ``B = sum_i b_i = sum_j a_j``.  Setting ``c = 0`` recovers the
 classical majorization and endpoint bounds; a larger certified ``c``
-tightens both ends.  Each link has one evaluator, shared by
-``sherman_strong``, ``converse_sherman_strong`` and the ``full_chain``
-driver, which verifies the witness, certifies the modulus and reports
-every link.  The links read each side's weighted sums from one lazy
-helper, which a divergence pair keeps per generator, and reject a sum
-that overflowed.  Of the one-row special cases, the endpoint chord
-bound is the converse at total weight one; the mean-versus-average
-bound keeps its own centred spread ``S_a (x - xbar)^2``.
+tightens both ends.  Each link has one evaluator and one public entry
+point: :func:`full_chain` verifies the witness, certifies the modulus and
+reports every link, and :func:`converse_sherman_strong` is the endpoint
+bound alone, at the total weight of its own side.  The links read each
+side's weighted sums from one lazy helper, which a divergence pair keeps
+per generator, and reject a sum that overflowed.  Of the one-row special
+cases, the strong Lah-Ribaric bound is the converse at total weight one;
+the mean-versus-average bound keeps its own centred spread
+``S_a (x - xbar)^2``.
 """
 
 from __future__ import annotations
@@ -72,17 +73,6 @@ class JensenBound(NamedTuple):
     variance_term: float
 
 
-class LahRibaricBound(NamedTuple):
-    """Endpoint chord bound for normalized weights.
-
-    ``lhs = S_a f(x)``; ``rhs`` is the chord value at the weighted mean
-    minus ``c * S_a (beta - x)(x - alpha)``.
-    """
-
-    lhs: float
-    rhs: float
-
-
 @dataclass(frozen=True)
 class BoundChain:
     """Every link of the two-sided chain for one instance.
@@ -91,10 +81,9 @@ class BoundChain:
         lhs: ``S_b f(y)``.
         strong_bound: ``plain_bound - correction_quadratic``.
         plain_bound: ``S_a f(x)``.
-        converse_bound: Endpoint upper bound, None when not requested.
+        converse_bound: Endpoint upper bound.
         correction_quadratic: ``c * (S_a x^2 - S_b y^2)``.
-        correction_converse: ``c * S_a (beta - x)(x - alpha)``, None when
-            the converse was not requested.
+        correction_converse: ``c * S_a (beta - x)(x - alpha)``.
         modulus: The strong-convexity modulus used.
         chain_holds: True when every computed link holds within
             :data:`CHAIN_SLACK`.
@@ -111,9 +100,9 @@ class BoundChain:
     lhs: float
     strong_bound: float
     plain_bound: float
-    converse_bound: Optional[float]
+    converse_bound: float
     correction_quadratic: float
-    correction_converse: Optional[float]
+    correction_converse: float
     modulus: float
     chain_holds: bool
     fuchs_case: bool = False
@@ -233,108 +222,28 @@ def jensen_strong(
     )
 
 
-def lah_ribaric_strong(
-    x: WeightedVector,
-    spec: FunctionSpec,
-    c: Optional[float] = None,
-) -> LahRibaricBound:
-    """Endpoint chord upper bound with quadratic strengthening.
-
-    For normalized weights, ``S_a f(x)`` is at most the chord of ``f``
-    over ``[alpha, beta]`` evaluated at the weighted mean, minus
-    ``c * S_a (beta - x)(x - alpha)``: the bound of
-    :func:`converse_sherman_strong` at total weight one.
-
-    Raises:
-        WeightsNotNormalized: if the weights do not sum to one.
-        DegenerateInterval: if the interval is numerically a point.
-        ModulusNotCertified: per :func:`resolve_modulus`.
-    """
-    _check_normalized(x.weights)
-    rhs = converse_sherman_strong(x, 1.0, spec, c)
-    return LahRibaricBound(lhs=_SideSums(x.points, x.weights, spec).f, rhs=rhs)
-
-
 def converse_sherman_strong(
     x: WeightedVector,
-    total_weight: float,
     spec: FunctionSpec,
     c: Optional[float] = None,
 ) -> float:
-    """Endpoint upper bound on ``S_a f(x)`` for arbitrary total weight.
+    """Endpoint upper bound on ``S_a f(x)``: the converse link of the chain.
 
-    ``total_weight`` is the common total ``B = sum_i b_i = sum_j a_j`` of
-    the weighted-majorized pair (for normalized weights this reduces to
-    the chord bound of :func:`lah_ribaric_strong`).
+    The bound is the chord of ``f`` over ``[alpha, beta]`` at total weight
+    ``A = sum_j a_j`` (``x.weight_sum``), minus
+    ``c * S_a (beta - x)(x - alpha)``.  In a chain ``A`` equals the total
+    ``B = sum_i b_i`` of the majorized side; at ``A = 1`` the bound is the
+    strong Lah-Ribaric inequality.
 
     Raises:
-        ValueError: unless ``total_weight`` is finite and nonnegative.
+        PointOutOfInterval: if a point leaves the interval.
         DegenerateInterval: if the interval is numerically a point.
         ModulusNotCertified: per :func:`resolve_modulus`.
+        ValidationError: if the bound is not finite because a sum overflows.
     """
-    if not (math.isfinite(total_weight) and total_weight >= 0):
-        raise ValueError(f"total weight must be finite and nonnegative, got {total_weight}")
     spec.require_inside(x.points)
     modulus, _ = resolve_modulus(spec, c)
-    return _converse_link(_SideSums(x.points, x.weights, spec), total_weight, modulus)[0]
-
-
-def _chain_premises(
-    x: WeightedVector, y: WeightedVector, matrix: StochasticMatrix, spec: FunctionSpec,
-    c: Optional[float],
-) -> tuple[VerificationResult, float, ModulusCertificate, _SideSums, _SideSums]:
-    """Check the premises of the Sherman link and return what the links read.
-
-    In order: both sides lie inside the interval, the witness verifies, the
-    modulus resolves.  Returns the witness check, the modulus, its
-    certificate and both sides' sums.
-    """
-    spec.require_inside(x.points)
-    spec.require_inside(y.points)
-    result = verify_weighted_majorization(x, y, matrix)
-    _require_passed(result)
-    modulus, certificate = resolve_modulus(spec, c)
-    return (result, modulus, certificate,
-            _SideSums(x.points, x.weights, spec), _SideSums(y.points, y.weights, spec))
-
-
-class ShermanBound(NamedTuple):
-    """Lower link of the chain: ``lhs <= strong_bound <= plain_bound``."""
-
-    lhs: float
-    strong_bound: float
-    plain_bound: float
-    correction_quadratic: float
-    modulus: float
-
-
-def sherman_strong(
-    x: WeightedVector,
-    y: WeightedVector,
-    spec: FunctionSpec,
-    c: Optional[float] = None,
-    *,
-    matrix: StochasticMatrix,
-) -> ShermanBound:
-    """Strongly convex majorization bound ``S_b f(y) <= S_a f(x) - c*(S_a x^2 - S_b y^2)``.
-
-    The weighted majorization of ``(y, b)`` by ``(x, a)`` is verified
-    here against the row-stochastic witness ``matrix`` at
-    :data:`.majorization.DEFAULT_TOL`.
-
-    Raises:
-        MajorizationNotVerified: if the witness fails to verify.
-        ModulusNotCertified: per :func:`resolve_modulus`.
-    """
-    _, modulus, _, x_sums, y_sums = _chain_premises(x, y, matrix, spec, c)
-    lhs, strong, plain, correction = _sherman_link(x_sums, y_sums, modulus)
-    return ShermanBound(
-        lhs=lhs,
-        strong_bound=strong,
-        plain_bound=plain,
-        correction_quadratic=correction,
-        modulus=modulus,
-    )
+    return _converse_link(_SideSums(x.points, x.weights, spec), x.weight_sum, modulus)[0]
 
 
 def full_chain(
@@ -365,16 +274,23 @@ def full_chain(
         the three inequalities holds within :data:`CHAIN_SLACK`.
 
     Raises:
+        PointOutOfInterval: if a point of either side leaves the interval.
         MajorizationNotVerified: if the witness fails verification.
         ModulusNotCertified: per :func:`resolve_modulus`, or if
             ``certificate`` differs from the one resolved for ``spec``.
         DegenerateInterval: if the interval is numerically a point.
+        ValidationError: if a link is not finite because a sum overflows.
     """
-    result, modulus, resolved, x_sums, y_sums = _chain_premises(x, y, matrix, spec, c)
+    spec.require_inside(x.points)
+    spec.require_inside(y.points)
+    result = verify_weighted_majorization(x, y, matrix)
+    _require_passed(result)
+    modulus, resolved = resolve_modulus(spec, c)
     if certificate is not None and certificate != resolved:
         raise ModulusNotCertified(f"the given certificate is not the one of {spec.name}")
     weights = np.concatenate([x.weights, y.weights])
     fuchs = x.size == y.size and float(np.ptp(weights)) <= 1e-12 * max(1.0, float(weights.max()))
+    x_sums, y_sums = _SideSums(x.points, x.weights, spec), _SideSums(y.points, y.weights, spec)
     chain = replace(_chain_links(x_sums, y_sums, modulus), fuchs_case=fuchs, verification=result)
     object.__setattr__(chain, "certificate", resolved)
     return chain

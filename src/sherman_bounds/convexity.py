@@ -126,7 +126,9 @@ class FunctionSpec:
 
         The callable is called once on the whole array.  One that rejects
         arrays (``TypeError``/``ValueError``) or returns another shape, such
-        as ``math.exp``, is called point by point instead.
+        as ``math.exp``, is called point by point instead; a point whose
+        call raises ``OverflowError`` is NaN there, since the sign of the
+        lost value is unknown.
         """
         fn = self.derivative(order)
         pts = np.asarray(points, dtype=float)
@@ -135,7 +137,7 @@ class FunctionSpec:
         except (TypeError, ValueError):
             values = None
         if values is None or values.shape != pts.shape:
-            values = np.array([fn(t) for t in pts.ravel().tolist()], dtype=float)
+            values = np.array([_value_or_nan(fn, t) for t in pts.ravel().tolist()], dtype=float)
         return values.reshape(pts.shape)
 
     def require_inside(self, points) -> None:
@@ -150,6 +152,13 @@ class FunctionSpec:
             raise PointOutOfInterval(
                 f"point {t!r} outside interval [{lo}, {hi}] of {self.name}"
             )
+
+
+def _value_or_nan(fn: Evaluator, t: float) -> float:
+    try:
+        return fn(t)
+    except OverflowError:
+        return math.nan
 
 
 def _first_outside(points, lo: float, hi: float):

@@ -23,7 +23,6 @@ from sherman_bounds import (
     higher_order_sherman_bound,
     majorizes,
     sherman_difference_identity,
-    sherman_strong,
 )
 from helpers import (
     entropy_via_kl,
@@ -77,7 +76,7 @@ def test_criterion_2_quadratic_equality():
     worst = 0.0
     for _ in range(1000):
         x, y, witness = random_chain_instance(rng, (0.0, 1.0), max_rows=8, max_cols=8)
-        bound = sherman_strong(x, y, spec, 1.0, matrix=witness)
+        bound = full_chain(x, y, witness, spec, 1.0)
         worst = max(worst, abs(bound.lhs - bound.strong_bound))
     ok = worst <= 1e-12
     report(ok, 2, f"f=t^2, c=1: max |lhs - strong_bound| = {worst:.3e}")
@@ -163,7 +162,7 @@ def test_criterion_6_even_order_kernel():
     for _ in range(50):
         x, y, witness = random_chain_instance(rng, (0.0, 1.0), max_rows=8, max_cols=8)
         higher = higher_order_sherman_bound(x, y, spec, 2, 0.5)
-        classic = sherman_strong(x, y, spec, 0.5, matrix=witness)
+        classic = full_chain(x, y, witness, spec, 0.5)
         gap = classic.strong_bound - classic.lhs
         worst = max(worst, abs(higher.lhs_with_correction - gap))
         assert higher.holds

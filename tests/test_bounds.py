@@ -10,6 +10,7 @@ from sherman_bounds import (
     CHAIN_SLACK,
     BoundChain,
     DegenerateInterval,
+    FunctionSpec,
     MajorizationNotVerified,
     ModulusNotCertified,
     PointOutOfInterval,
@@ -23,9 +24,7 @@ from sherman_bounds import (
     function_from_name,
     higher_order_sherman_bound,
     jensen_strong,
-    lah_ribaric_strong,
     resolve_modulus,
-    sherman_strong,
     verify_weighted_majorization,
 )
 from helpers import fsum_dot, random_chain_instance, random_row_stochastic
@@ -65,8 +64,8 @@ class TestResolveModulus:
         assert c == 0.25
 
     @pytest.mark.parametrize("bound", [
-        "resolve_modulus", "jensen_strong", "lah_ribaric_strong", "converse_sherman_strong",
-        "sherman_strong", "full_chain", "higher_order_sherman_bound",
+        "resolve_modulus", "jensen_strong", "converse_sherman_strong", "full_chain",
+        "higher_order_sherman_bound",
     ])
     def test_explicit_above_certified_rejected(self, bound):
         # exp on [0, 1] certifies 1/2; every public bound refuses 0.75
@@ -75,9 +74,7 @@ class TestResolveModulus:
         calls = {
             "resolve_modulus": lambda: resolve_modulus(EXP01, 0.75),
             "jensen_strong": lambda: jensen_strong(mean, EXP01, 0.75),
-            "lah_ribaric_strong": lambda: lah_ribaric_strong(mean, EXP01, 0.75),
-            "converse_sherman_strong": lambda: converse_sherman_strong(x, 1.0, EXP01, 0.75),
-            "sherman_strong": lambda: sherman_strong(x, y, EXP01, 0.75, matrix=witness),
+            "converse_sherman_strong": lambda: converse_sherman_strong(x, EXP01, 0.75),
             "full_chain": lambda: full_chain(x, y, witness, EXP01, 0.75),
             "higher_order_sherman_bound": lambda: higher_order_sherman_bound(x, y, EXP01, 2, 0.75),
         }
@@ -86,9 +83,8 @@ class TestResolveModulus:
 
     @pytest.mark.parametrize("bound, knob", [
         ("resolve_modulus", "certificate"), ("jensen_strong", "certificate"),
-        ("lah_ribaric_strong", "certificate"), ("converse_sherman_strong", "certificate"),
-        ("sherman_strong", "certificate"), ("verify_weighted_majorization", "tol"),
-        ("sherman_strong", "tol"), ("full_chain", "tol"),
+        ("converse_sherman_strong", "certificate"), ("verify_weighted_majorization", "tol"),
+        ("full_chain", "tol"),
     ])
     def test_takes_no_certificate_or_tolerance(self, bound, knob):
         # the certificate is the spec's own; a witness is checked at DEFAULT_TOL
@@ -97,9 +93,7 @@ class TestResolveModulus:
         calls = {
             "resolve_modulus": lambda **kw: resolve_modulus(EXP01, None, **kw),
             "jensen_strong": lambda **kw: jensen_strong(mean, EXP01, **kw),
-            "lah_ribaric_strong": lambda **kw: lah_ribaric_strong(mean, EXP01, **kw),
-            "converse_sherman_strong": lambda **kw: converse_sherman_strong(x, 1.0, EXP01, **kw),
-            "sherman_strong": lambda **kw: sherman_strong(x, y, EXP01, matrix=witness, **kw),
+            "converse_sherman_strong": lambda **kw: converse_sherman_strong(x, EXP01, **kw),
             "verify_weighted_majorization":
                 lambda **kw: verify_weighted_majorization(x, y, witness, **kw),
             "full_chain": lambda **kw: full_chain(x, y, witness, EXP01, **kw),
@@ -131,7 +125,7 @@ class TestResolveModulus:
         with pytest.raises(ValueError):
             jensen_strong(mean, EXP01, c)
         with pytest.raises(ValueError):
-            converse_sherman_strong(x, x.weight_sum, EXP01, c)
+            converse_sherman_strong(x, EXP01, c)
 
 
 class TestJensen:
@@ -181,12 +175,13 @@ class TestJensen:
 
 
 class TestLahRibaric:
+    """The strong Lah-Ribaric inequality: the converse link at total weight one."""
+
     def test_endpoint_degeneracy_is_exact(self):
         # all mass at an endpoint: both sides equal f(alpha)
         x = WeightedVector([0.0], [1.0])
-        bound = lah_ribaric_strong(x, EXP01, 0.5)
-        assert abs(bound.lhs - 1.0) <= 1e-15
-        assert abs(bound.rhs - 1.0) <= 1e-12
+        assert abs(float(x.weights @ EXP01.evaluate(x.points)) - 1.0) <= 1e-15
+        assert abs(converse_sherman_strong(x, EXP01, 0.5) - 1.0) <= 1e-12
 
     def test_xlogx_oracle(self):
         spec = function_from_name("xlogx", (0.1, 3.0))
@@ -197,44 +192,46 @@ class TestLahRibaric:
             raw = rng.uniform(0.1, 1.0, size)
             a = raw / raw.sum()
             pts = rng.uniform(0.1, 3.0, size)
-            bound = lah_ribaric_strong(WeightedVector(pts, a), spec)
+            upper = converse_sherman_strong(WeightedVector(pts, a), spec)
             f = spec.evaluator
             xbar = fsum_dot(a, pts)
             chord = ((3.0 - xbar) * f(0.1) + (xbar - 0.1) * f(3.0)) / 2.9
             rhs = chord - cert.modulus * fsum_dot(
                 a, [(3.0 - t) * (t - 0.1) for t in pts]
             )
-            assert abs(bound.rhs - rhs) <= 1e-12
-            assert bound.lhs <= bound.rhs + CHAIN_SLACK
+            assert abs(upper - rhs) <= 1e-12
+            assert fsum_dot(a, [f(t) for t in pts]) <= upper + CHAIN_SLACK
 
 
 class TestShermanStrong:
+    """The strong Sherman link of :func:`full_chain`."""
+
     def test_requires_witness(self):
         x = WeightedVector([0.0, 1.0], [0.5, 0.5])
         y = WeightedVector([0.5], [1.0])
         with pytest.raises(TypeError, match="matrix"):
-            sherman_strong(x, y, SQUARE01)
-        bound = sherman_strong(x, y, SQUARE01, matrix=StochasticMatrix([[0.5, 0.5]], "row"))
+            full_chain(x, y, spec=SQUARE01)
+        bound = full_chain(x, y, StochasticMatrix([[0.5, 0.5]], "row"), SQUARE01)
         assert bound.lhs <= bound.strong_bound + CHAIN_SLACK
 
     def test_bad_witness_rejected(self):
         x = WeightedVector([0.0, 1.0], [0.5, 0.5])
         y = WeightedVector([0.9], [1.0])
         with pytest.raises(MajorizationNotVerified):
-            sherman_strong(x, y, SQUARE01, matrix=StochasticMatrix([[0.5, 0.5]], "row"))
+            full_chain(x, y, StochasticMatrix([[0.5, 0.5]], "row"), SQUARE01)
 
     def test_square_at_full_modulus_is_tight(self):
         rng = np.random.default_rng(23)
         for _ in range(100):
             x, y, witness = random_chain_instance(rng, (0.0, 1.0))
-            bound = sherman_strong(x, y, SQUARE01, 1.0, matrix=witness)
+            bound = full_chain(x, y, witness, SQUARE01, 1.0)
             assert abs(bound.lhs - bound.strong_bound) <= 1e-12
 
     def test_zero_modulus_recovers_plain_bound(self):
         rng = np.random.default_rng(24)
         for _ in range(50):
             x, y, witness = random_chain_instance(rng, (0.0, 1.0))
-            bound = sherman_strong(x, y, EXP01, 0.0, matrix=witness)
+            bound = full_chain(x, y, witness, EXP01, 0.0)
             assert bound.strong_bound == bound.plain_bound
             assert bound.correction_quadratic == 0.0
             assert bound.lhs <= bound.plain_bound + CHAIN_SLACK
@@ -244,7 +241,7 @@ class TestShermanStrong:
         rng = np.random.default_rng(25)
         for _ in range(50):
             x, y, witness = random_chain_instance(rng, (0.5, 1.0))
-            bound = sherman_strong(x, y, spec, 1.5, matrix=witness)
+            bound = full_chain(x, y, witness, spec, 1.5)
             lhs, strong, plain, _ = chain_oracle(
                 x.points, x.weights, y.points, y.weights, spec.evaluator, 1.5, 0.5, 1.0
             )
@@ -255,18 +252,20 @@ class TestShermanStrong:
 
 class TestConverse:
     def test_normalized_total_matches_lah_ribaric(self):
+        # at total weight one: the chord at the weighted mean minus c * S_a (1 - x) x
         rng = np.random.default_rng(26)
         raw = rng.uniform(0.1, 1.0, 5)
         a = raw / raw.sum()
         pts = rng.uniform(0.0, 1.0, 5)
         x = WeightedVector(pts, a)
-        upper = converse_sherman_strong(x, 1.0, EXP01, 0.5)
-        reference = lah_ribaric_strong(x, EXP01, 0.5)
-        assert upper == reference.rhs
+        xbar = fsum_dot(a, pts)
+        chord = (1.0 - xbar) * math.exp(0.0) + xbar * math.exp(1.0)
+        reference = chord - 0.5 * fsum_dot(a, [(1.0 - t) * t for t in pts])
+        assert abs(converse_sherman_strong(x, EXP01, 0.5) - reference) <= 1e-12
 
     def test_mass_at_left_endpoint(self):
         x = WeightedVector([0.0, 0.0], [1.5, 0.5])
-        upper = converse_sherman_strong(x, 2.0, EXP01, 0.5)
+        upper = converse_sherman_strong(x, EXP01, 0.5)
         assert abs(upper - 2.0) <= 1e-12  # B * f(0)
 
     def test_dominates_plain_sum(self):
@@ -274,7 +273,7 @@ class TestConverse:
         for _ in range(50):
             x, _, _ = random_chain_instance(rng, (0.0, 1.0))
             plain = fsum_dot(x.weights, [math.exp(t) for t in x.points])
-            upper = converse_sherman_strong(x, x.weight_sum, EXP01)
+            upper = converse_sherman_strong(x, EXP01)
             assert plain <= upper + CHAIN_SLACK
 
     def test_chord_reads_f_through_the_array_path(self):
@@ -290,14 +289,18 @@ class TestConverse:
         assert split.size == 0 or (f_lo, f_hi) != (spec.evaluator(lo), spec.evaluator(hi))
         linear = float(x.weights @ x.points)
         chord = ((hi - linear) * f_lo + (linear - lo) * f_hi) / (hi - lo)
-        assert converse_sherman_strong(x, 1.0, spec, 0.0) == chord
+        assert converse_sherman_strong(x, spec, 0.0) == chord
 
-    @pytest.mark.parametrize("total", [math.nan, math.inf, -math.inf, -1.0])
-    def test_invalid_total_weight_rejected(self, total):
-        # nan and inf gave a NaN bound, and -1.0 a finite number
-        x = WeightedVector([0.25, 0.75], [0.5, 0.5])
-        with pytest.raises(ValueError, match="total weight"):
+    @pytest.mark.parametrize("total", [math.nan, math.inf, -math.inf, -1.0, 0.0])
+    def test_total_weight_is_not_a_parameter(self, total):
+        # the bound reads S_a 1 from x: a passed total of 0.0 put the "upper
+        # bound" on e^0.5 = 1.649 at 0.734, and nan or inf gave NaN
+        x = WeightedVector([0.5], [1.0])
+        with pytest.raises(TypeError, match="positional"):
             converse_sherman_strong(x, total, EXP01, 0.5)
+        with pytest.raises(TypeError, match="total_weight"):
+            converse_sherman_strong(x, EXP01, total_weight=total)
+        assert converse_sherman_strong(x, EXP01) >= math.exp(0.5)
 
 
 class TestFullChain:
@@ -388,8 +391,7 @@ class TestFullChain:
         jensen = jensen_strong(x, EXP01, 0.5)
         assert abs(chain.lhs - jensen.lhs) <= 1e-12
         assert abs(chain.strong_bound - jensen.rhs) <= 1e-12
-        lr = lah_ribaric_strong(x, EXP01, 0.5)
-        assert abs(chain.converse_bound - lr.rhs) <= 1e-12
+        assert abs(chain.converse_bound - converse_sherman_strong(x, EXP01, 0.5)) <= 1e-12
 
     def test_fuchs_flag(self):
         rng = np.random.default_rng(33)
@@ -481,12 +483,23 @@ class TestOverflowingLinks:
     Y = WeightedVector([0.0], [1.0])
 
     def test_each_bound_raises(self):
-        witness = StochasticMatrix([[0.5, 0.5]], "row")  # square certifies c = 1 exactly
-        for call in (
-            lambda: full_chain(self.X, self.Y, witness, self.SPEC, 1.0),
-            lambda: sherman_strong(self.X, self.Y, self.SPEC, 1.0, matrix=witness),
-            lambda: converse_sherman_strong(self.X, 1.0, self.SPEC, 1.0),
-            lambda: lah_ribaric_strong(self.X, self.SPEC, 1.0),
-        ):
-            with pytest.raises(ValidationError, match="non-finite value"):
-                call()
+        # square certifies c = 1 exactly; math.pow raises OverflowError where
+        # numpy returns inf, and that point is NaN
+        witness = StochasticMatrix([[0.5, 0.5]], "row")
+        floats = FunctionSpec("sq", lambda t: math.pow(t, 2), (lambda t: 2 * t, lambda t: 2.0),
+                              self.SPEC.interval)
+        for spec in (self.SPEC, floats):
+            for call in (
+                lambda: full_chain(self.X, self.Y, witness, spec, 1.0),
+                lambda: converse_sherman_strong(self.X, spec, 1.0),
+            ):
+                with pytest.raises(ValidationError, match="non-finite value"):
+                    call()
+
+    def test_overflowing_certificate_is_not_certified(self):
+        # math.exp raises OverflowError past t = 709.78: the certificate is indeterminate
+        spec = FunctionSpec("e", math.exp, (math.exp, math.exp), (0.0, 1000.0))
+        x = WeightedVector([1.0, 999.0], [0.5, 0.5])
+        witness = StochasticMatrix([[0.5, 0.5]], "row")
+        with pytest.raises(ModulusNotCertified, match="indeterminate"):
+            full_chain(x, WeightedVector([500.0], [1.0]), witness, spec)

@@ -181,6 +181,11 @@ class TestModulusCertification:
         cert = estimate_strong_modulus(function_from_name("pow:400", (0.1, 10.0)), 2)
         assert cert.verdict == "indeterminate"
         assert cert.modulus == 0.0
+        # math.exp raises OverflowError past t = 709.78, where numpy returns inf
+        spec = FunctionSpec("e", math.exp, (math.exp, math.exp), (0.0, 1000.0))
+        cert = estimate_strong_modulus(spec, 2)
+        assert cert.verdict == "indeterminate"
+        assert cert.modulus == 0.0
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):

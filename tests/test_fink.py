@@ -26,7 +26,6 @@ from sherman_bounds import (
     function_from_name,
     higher_order_sherman_bound,
     sherman_difference_identity,
-    sherman_strong,
 )
 import sherman_bounds
 from sherman_bounds import fink
@@ -592,7 +591,7 @@ class TestHigherOrderBound:
         for _ in range(20):
             x, y, witness = random_chain_instance(rng, (0.0, 1.0))
             bound = higher_order_sherman_bound(x, y, EXP01, 2, 0.5)
-            classic = sherman_strong(x, y, EXP01, 0.5, matrix=witness)
+            classic = full_chain(x, y, witness, EXP01, 0.5)
             gap = classic.strong_bound - classic.lhs
             assert bound.rhs_boundary == 0.0
             assert abs(bound.lhs_with_correction - gap) <= 1e-10
@@ -670,7 +669,7 @@ class TestHigherOrderBound:
         for c in moduli.tolist():
             verdicts = []
             for bound in (
-                lambda: sherman_strong(x, y, EXP01, c, matrix=witness),
+                lambda: full_chain(x, y, witness, EXP01, c),
                 lambda: higher_order_sherman_bound(x, y, EXP01, 2, c),
             ):
                 try:
