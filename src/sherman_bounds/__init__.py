@@ -32,7 +32,6 @@ from .convexity import (
     function_from_name,
     is_n_convex,
     is_n_strongly_convex,
-    shift_to_convex,
 )
 from .divergence import (
     DistributionPair,
@@ -139,6 +138,5 @@ __all__ = [
     "majorizes",
     "resolve_modulus",
     "sherman_difference_identity",
-    "shift_to_convex",
     "verify_weighted_majorization",
 ]

@@ -167,9 +167,7 @@ def _finite(*values: float) -> tuple[float, ...]:
     """``values``, unless a sum behind one of them overflowed."""
     for value in values:
         if not math.isfinite(value):
-            raise ValidationError(
-                f"non-finite value {value} in a chain link: a sum overflows the float range"
-            )
+            raise ValidationError(f"non-finite value {value}: a sum overflows the float range")
     return values
 
 

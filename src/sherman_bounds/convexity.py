@@ -9,11 +9,13 @@ defined on.  On top of that this module provides
 * the strong-convexity modulus of order ``n`` (the largest ``c`` with
   ``f^(n) >= c * n!`` on the interval, i.e. the largest ``c`` such that
   ``f(t) - c*t^n`` stays n-convex), from which :func:`resolve_modulus`
-  takes the modulus of every bound,
+  takes the modulus of every bound, and
 * refutation-only sampling checks of n-convexity via random divided
-  differences, and
-* the shift ``f -> f - c*t^n`` that turns an n-strongly convex function
-  into a plain n-convex one.
+  differences.
+
+The shift ``f -> f - c*t^n`` that turns an n-strongly convex function into
+a plain n-convex one has no spec of its own: :mod:`.fink` applies it inside
+the identity's terms.
 
 A named catalog of common functions (``square``, ``exp``, ``xlogx``,
 ``neg_log``, ``linear``, ``pow:a``) supports the command line.  Each
@@ -397,43 +399,6 @@ def is_n_strongly_convex(
         worst_value=worst,
         samples=sample_count,
         threshold=threshold,
-    )
-
-
-def shift_to_convex(spec: FunctionSpec, n: int, c: float) -> FunctionSpec:
-    """Return the spec of ``g(t) = f(t) - c*t^n`` on the same interval.
-
-    ``g`` is n-convex exactly when ``f`` is n-strongly convex with
-    modulus ``c``.  Derivatives carry over: order ``k <= n`` subtracts
-    ``c * n!/(n-k)! * t^(n-k)``, orders above ``n`` are unchanged.
-    """
-    if n < 1:
-        raise ValueError(f"order must be >= 1, got {n}")
-    if not (math.isfinite(c) and c >= 0):
-        raise ValueError(f"modulus must be finite and nonnegative, got {c}")
-    f = spec.evaluator
-
-    def g(t: float, _f=f, _c=c, _n=n) -> float:
-        return _f(t) - _c * t**_n
-
-    derivs: list[Evaluator] = []
-    for k in range(1, spec.max_order + 1):
-        fk = spec.derivative(k)
-        if k <= n:
-            coeff = c * math.factorial(n) / math.factorial(n - k)
-            power = n - k
-
-            def gk(t: float, _fk=fk, _coeff=coeff, _p=power) -> float:
-                return _fk(t) - _coeff * t**_p
-
-            derivs.append(gk)
-        else:
-            derivs.append(fk)
-    return FunctionSpec(
-        name=f"{spec.name}-{c:g}*t^{n}",
-        evaluator=g,
-        derivatives=tuple(derivs),
-        interval=spec.interval,
     )
 
 

@@ -239,7 +239,7 @@ def get_kernel(name: str, interval: Optional[tuple[float, float]] = None) -> Div
     else:
         raise ValidationError(f"unknown divergence kernel {key!r}")
 
-    normalized = bool(abs(spec.evaluator(1.0)) <= NORMALIZED_TOL)
+    normalized = bool(abs(spec.evaluate(1.0)) <= NORMALIZED_TOL)
     kernel = DivergenceKernel(key, spec, normalized, convexity_class)
     if convexity_class == _STRONGLY_CONVEX:
         _certified_modulus(spec.name, kernel.modulus_certificate, None)

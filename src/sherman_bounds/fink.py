@@ -16,7 +16,8 @@ computable bounds whenever the combined kernel weight has one sign on the
 interval, which holds in particular for even ``n`` on verified pairs.
 Applying that to the shift ``g = f - c*t^n`` of an ``f`` certified
 n-strongly convex with modulus ``c`` produces the higher-order analogue
-of the corrected bound (:func:`higher_order_sherman_bound`).
+of the corrected bound (:func:`higher_order_sherman_bound`), with the shift
+applied inside the identity's terms, ``g^(k) = f^(k) - c n!/(n-k)! t^(n-k)``.
 
 The kernel weight is a polynomial between consecutive data points; its
 sign is proved piece by piece from Bernstein coefficients.  Integrals are
@@ -36,12 +37,8 @@ from typing import NamedTuple, Optional
 import numpy as np
 from scipy.integrate import quad
 
-from .convexity import (
-    FunctionSpec,
-    _first_outside,
-    resolve_modulus,
-    shift_to_convex,
-)
+from .bounds import _finite
+from .convexity import FunctionSpec, _first_outside, resolve_modulus
 from .errors import (
     KernelConditionIndefinite,
     MajorizationNotVerified,
@@ -158,8 +155,9 @@ class KernelCondition:
         classification: ``"nonnegative"`` or ``"nonpositive"`` when every
             piece is proved to stay on that side of ``-/+`` :data:`KERNEL_SIGN_TOL`,
             else ``"indefinite"``.
-        min_value: Smallest weight at the nodes the certificate evaluated.
-        max_value: Largest weight at those nodes.
+        min_value: Smallest weight at the nodes the certificate evaluated;
+            NaN when a value or a Bernstein coefficient is not finite.
+        max_value: Largest weight at those nodes; NaN likewise.
         grid_size: Number of polynomial pieces examined, subdivisions
             included; 0 for a one-point hull.
     """
@@ -265,22 +263,24 @@ class _KernelWeight:
         self.half = 0.5 * (beta - alpha) or 1.0  # a one-point hull has W = 0
         layout = _pair_layout(x, y, alpha, beta, self.center, self.half)
         self.points, self.cuts = layout.points, layout.cuts
-        scale = self.half ** (n - 1) * np.array([math.comb(n - 1, p) for p in range(n)])
-        terms = np.empty((n, layout.points.size))
-        terms[0] = layout.weights
-        for p in range(1, n):
-            np.multiply(terms[p - 1], layout.u, out=terms[p])
-        terms *= scale[:, None]
-        block = np.where(layout.sides[:, None, :], terms, -0.0)
-        shape = (2, n, layout.points.size + 1)
-        self.prefix, self.suffix = np.zeros(shape), np.zeros(shape)
-        np.cumsum(block, axis=2, out=self.prefix[:, :, 1:])
-        np.cumsum(block[:, :, ::-1], axis=2, out=self.suffix[:, :, -2::-1])
-        for side, (before, after) in enumerate(layout.empty):
-            # sums over the other side's points only are -0.0; a side sorted alone has +0.0
-            self.prefix[side, :, :before] = 0.0
-            self.suffix[side, :, after:] = 0.0
-        self.pieces = self._gather(layout.starts)
+        with np.errstate(all="ignore"):  # an overflow makes the sign certificate "indefinite"
+            half_power = np.float64(self.half) ** (n - 1)  # inf, where a float raises OverflowError
+            scale = half_power * np.array([math.comb(n - 1, p) for p in range(n)])
+            terms = np.empty((n, layout.points.size))
+            terms[0] = layout.weights
+            for p in range(1, n):
+                np.multiply(terms[p - 1], layout.u, out=terms[p])
+            terms *= scale[:, None]
+            block = np.where(layout.sides[:, None, :], terms, -0.0)
+            shape = (2, n, layout.points.size + 1)
+            self.prefix, self.suffix = np.zeros(shape), np.zeros(shape)
+            np.cumsum(block, axis=2, out=self.prefix[:, :, 1:])
+            np.cumsum(block[:, :, ::-1], axis=2, out=self.suffix[:, :, -2::-1])
+            for side, (before, after) in enumerate(layout.empty):
+                # sums over the other side's points only are -0.0; a side sorted alone has +0.0
+                self.prefix[side, :, :before] = 0.0
+                self.suffix[side, :, after:] = 0.0
+            self.pieces = self._gather(layout.starts)
 
     def coefficients(self, t: np.ndarray, side: str) -> tuple[np.ndarray, np.ndarray]:
         """Suffix and prefix coefficients of ``W`` at ``t``, each ``(n, len(t))``.
@@ -315,10 +315,13 @@ class _KernelWeight:
         for depth in range(MAX_SIGN_DEPTH + 1):
             t = lo + (hi - lo) * (np.arange(n + 1) / n)[:, None]
             t[-1] = hi
-            values = self.polynomial(t, suffix, prefix)
-            coeffs = _bernstein_from_values(n) @ values
-            w_min, w_max = min(w_min, float(values.min())), max(w_max, float(values.max()))
+            with np.errstate(all="ignore"):  # non-finite values are refused below
+                values = self.polynomial(t, suffix, prefix)
+                coeffs = _bernstein_from_values(n) @ values
             count += lo.size
+            if not (np.isfinite(values).all() and np.isfinite(coeffs).all()):
+                return KernelCondition("indefinite", math.nan, math.nan, count)
+            w_min, w_max = min(w_min, float(values.min())), max(w_max, float(values.max()))
             maybe_nonneg, maybe_nonpos = w_min >= -tol, w_max <= tol
             low, high = coeffs.min(axis=0) < -tol, coeffs.max(axis=0) > tol
             if maybe_nonneg and not low.any():
@@ -352,7 +355,8 @@ def check_kernel_condition(
     nonnegative, all ``<= tol`` nonpositive (``tol =`` :data:`KERNEL_SIGN_TOL`).
     Open pieces are halved and evaluated again, at most :data:`MAX_SIGN_DEPTH`
     times; values below ``-tol`` and above ``tol`` prove a sign change, and
-    a piece open at the cap makes ``W`` ``"indefinite"``.  A coefficient's
+    a piece open at the cap makes ``W`` ``"indefinite"``, as does any value
+    or coefficient that overflows to ``inf`` or NaN.  A coefficient's
     rounding error is that of the values times the inverse collocation
     matrix's infinity norm (under 90 for ``n <= 6``), plus the rounding of
     the product.  Without halving, the cost is ``O(m log m + m n^2)`` for
@@ -438,6 +442,7 @@ def sherman_difference_identity(
         ValueError: if ``n < 1`` or ``quad_tol`` is not finite and positive.
         MajorizationNotVerified: if either moment condition fails.
         MissingDerivative: if derivatives up to order ``n`` are missing.
+        ValidationError: if ``lhs`` or the endpoint sum is not finite.
         QuadratureFailure: if the integrator gives up.
     """
     if not (math.isfinite(quad_tol) and quad_tol > 0):
@@ -463,15 +468,18 @@ def sherman_difference_identity(
 
 
 def _difference_terms(
-    x: WeightedVector, y: WeightedVector, spec: FunctionSpec, n: int
+    x: WeightedVector, y: WeightedVector, spec: FunctionSpec, n: int, c: float = 0.0
 ) -> tuple[float, float]:
-    """``lhs`` and the endpoint sum of :func:`sherman_difference_identity`.
+    """``lhs`` and the endpoint sum of :func:`sherman_difference_identity` for ``f - c*t^n``.
 
-    Checks everything the identity checks, without integrating.
+    Checks everything the identity checks, without integrating.  Every value
+    of ``f^(k)``, the interval's ends included, comes from :meth:`.FunctionSpec.evaluate`;
+    ``c = 0`` subtracts nothing, so an infinite ``t^n`` cannot make a finite term NaN.
 
     Raises:
         MajorizationNotVerified: if either moment condition fails.
         MissingDerivative: if derivatives up to order ``n`` are missing.
+        ValidationError: if ``lhs`` or the endpoint sum is not finite.
     """
     if n < 1:
         raise ValueError(f"order must be >= 1, got {n}")
@@ -489,15 +497,20 @@ def _difference_terms(
     if abs(max1 - may1) > guard:
         raise MajorizationNotVerified(f"first moments differ: {max1} vs {may1}")
 
-    lhs = float(x.weights @ spec.evaluate(x.points)) - float(y.weights @ spec.evaluate(y.points))
+    def g(points, k):  # g^(k) = f^(k) - c n!/(n-k)! t^(n-k)
+        values = spec.evaluate(points, k)
+        return values - c * math.perm(n, k) * points ** (n - k) if c else values
 
-    boundary = 0.0
-    for w in range(2, n):
-        dw = spec.derivative(w - 1)
-        s_beta = float(x.weights @ (x.points - be) ** w) - float(y.weights @ (y.points - be) ** w)
-        s_alpha = float(x.weights @ (x.points - al) ** w) - float(y.weights @ (y.points - al) ** w)
-        boundary += (n - w) / math.factorial(w) * (dw(be) * s_beta - dw(al) * s_alpha) / width
-    return lhs, float(boundary)
+    def s(z, w):  # S_w(z) = S_a (x-z)^w - S_b (y-z)^w
+        return float(x.weights @ (x.points - z) ** w) - float(y.weights @ (y.points - z) ** w)
+
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result raises below
+        lhs = float(x.weights @ g(x.points, 0)) - float(y.weights @ g(y.points, 0))
+        boundary = 0.0
+        for w in range(2, n):
+            g_al, g_be = g(np.array(spec.interval), w - 1)
+            boundary += (n - w) / math.factorial(w) * (g_be * s(be, w) - g_al * s(al, w)) / width
+    return _finite(lhs, float(boundary))
 
 
 class HigherOrderBound(NamedTuple):
@@ -531,7 +544,9 @@ def higher_order_sherman_bound(
     ``g^(n) >= 0`` against it then leaves a valid inequality between the
     shifted difference and its endpoint-derivative sum.  Nothing is
     integrated: one Bernstein certificate of :func:`check_kernel_condition`
-    proves the sign, and the two sides come from the identity's endpoint terms.
+    proves the sign, and the two sides are the identity's ``lhs`` and
+    endpoint terms with ``c * n!/(n-k)! * t^(n-k)`` subtracted from every
+    value of ``f^(k)`` (nothing for ``c = 0``).
 
     Raises:
         ValueError: unless ``c`` is finite and nonnegative.
@@ -540,6 +555,7 @@ def higher_order_sherman_bound(
         MajorizationNotVerified: if either moment condition of
             :func:`sherman_difference_identity` fails.
         MissingDerivative: if derivatives up to order ``n`` are missing.
+        ValidationError: if either side is not finite.
     """
     resolve_modulus(spec, c, order=n)
     condition = check_kernel_condition(x, y, n, interval=spec.interval)
@@ -548,7 +564,7 @@ def higher_order_sherman_bound(
             f"kernel weight spans [{condition.min_value}, {condition.max_value}]; "
             "no one-sided bound follows"
         )
-    lhs, boundary = _difference_terms(x, y, shift_to_convex(spec, n, c), n)
+    lhs, boundary = _difference_terms(x, y, spec, n, c)
     if condition.classification == "nonnegative":
         holds = lhs >= boundary - BOUND_SLACK
     else:

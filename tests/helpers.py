@@ -11,7 +11,7 @@ import sys
 
 import numpy as np
 
-from sherman_bounds import StochasticMatrix, WeightedVector, generate_weighted_pair
+from sherman_bounds import FunctionSpec, StochasticMatrix, WeightedVector, generate_weighted_pair
 from sherman_bounds import convexity
 
 
@@ -57,6 +57,29 @@ def gauss_legendre_pieces(f, cuts, nodes: int = 50) -> float:
     cuts = sorted(float(c) for c in cuts)
     return math.fsum(
         gauss_legendre(f, lo, hi, nodes) for lo, hi in zip(cuts, cuts[1:]) if hi > lo
+    )
+
+
+def shifted_spec(spec, n: int, c: float):
+    """Oracle for the higher-order bound's shift: the spec of ``g(t) = f(t) - c*t^n``.
+
+    Written out as its own spec, with one closure per derivative: order
+    ``k <= n`` subtracts ``c * n!/(n-k)! * t^(n-k)``, with the coefficient
+    rounded as ``(c * n!) / (n-k)!``, and orders above ``n`` are ``f``'s.
+    """
+    derivs = []
+    for k in range(1, spec.max_order + 1):
+        fk = spec.derivative(k)
+        if k <= n:
+            coeff = c * math.factorial(n) / math.factorial(n - k)
+            derivs.append(lambda t, _fk=fk, _coeff=coeff, _p=n - k: _fk(t) - _coeff * t**_p)
+        else:
+            derivs.append(fk)
+    return FunctionSpec(
+        f"{spec.name}-{c:g}*t^{n}",
+        lambda t, _f=spec.evaluator: _f(t) - c * t**n,
+        tuple(derivs),
+        spec.interval,
     )
 
 

@@ -24,10 +24,9 @@ from sherman_bounds import (
     get_kernel,
     is_n_convex,
     is_n_strongly_convex,
-    shift_to_convex,
 )
 from sherman_bounds.convexity import CATALOG_ORDER, DEFAULT_MODULUS_GRID
-from helpers import dd_recursive
+from helpers import dd_recursive, shifted_spec
 
 EXP03 = function_from_name("exp", (0.0, 3.0))
 SQUARE01 = function_from_name("square", (0.0, 1.0))
@@ -344,55 +343,6 @@ class TestSampledConvexity:
             is_n_strongly_convex(SQUARE01, 2, 1.0, sample_count=0)
 
 
-class TestShiftToConvex:
-    def test_values_shift(self):
-        ex = function_from_name("exp", (0.0, 1.0))
-        g = shift_to_convex(ex, 2, 0.5)
-        assert abs(g.evaluator(1.0) - (math.e - 0.5)) <= 1e-15
-        assert g.interval == ex.interval
-
-    def test_zero_modulus_is_identity(self):
-        g = shift_to_convex(EXP03, 2, 0.0)
-        for t in (0.0, 1.3, 2.9):
-            assert g.evaluator(t) == EXP03.evaluator(t)
-            assert g.derivative(2)(t) == EXP03.derivative(2)(t)
-
-    def test_square_shift_at_modulus_vanishes(self):
-        g = shift_to_convex(SQUARE01, 2, 1.0)
-        for t in np.linspace(0.0, 1.0, 7):
-            assert abs(g.evaluator(float(t))) <= 1e-15
-            assert abs(g.derivative(1)(float(t))) <= 1e-15
-            assert abs(g.derivative(2)(float(t))) <= 1e-15
-
-    def test_orders_above_n_unchanged(self):
-        ex = function_from_name("exp", (0.0, 1.0))
-        g = shift_to_convex(ex, 2, 0.5)
-        assert g.derivative(3)(0.7) == math.exp(0.7)
-
-    def test_shifted_derivatives_consistent(self):
-        g = shift_to_convex(function_from_name("xlogx", (0.1, 3.0)), 2, 1.0 / 6.0)
-        assert check_derivative_consistency(g)
-
-    def test_shift_at_certified_modulus_is_convex(self):
-        for name, interval in [("exp", (0.0, 1.0)), ("xlogx", (0.1, 3.0))]:
-            spec = function_from_name(name, interval)
-            cert = estimate_strong_modulus(spec, 2)
-            g = shift_to_convex(spec, 2, cert.modulus)
-            assert is_n_convex(g, 2).passed, name
-
-    def test_rejects_negative_modulus(self):
-        with pytest.raises(ValueError):
-            shift_to_convex(SQUARE01, 2, -1.0)
-        # NaN gave a spec of NaN values named exp-nan*t^2, and inf one that evaluates to -inf
-        for c in (math.nan, math.inf):
-            with pytest.raises(ValueError, match="finite and nonnegative"):
-                shift_to_convex(function_from_name("exp", (0.0, 1.0)), 2, c)
-
-    def test_rejects_order_zero(self):
-        with pytest.raises(ValueError, match="order"):
-            shift_to_convex(SQUARE01, 0, 1.0)
-
-
 class TestCatalog:
     def test_known_names(self):
         for name in ("square", "exp", "xlogx", "neg_log", "linear", "pow:2.5"):
@@ -479,7 +429,7 @@ def catalog_specs():
         for name in ("square", "exp", "xlogx", "neg_log", "linear", "pow:2.5", "pow:3")
     ]
     specs += [kernel.generator for kernel in catalog((0.1, 10.0))]
-    specs.append(shift_to_convex(function_from_name("exp", (0.5, 2.0)), 4, 0.02))
+    specs.append(shifted_spec(function_from_name("exp", (0.5, 2.0)), 4, 0.02))
     return specs
 
 

@@ -4,6 +4,7 @@ import gc
 import inspect
 import math
 import pickle
+import warnings
 import weakref
 from unittest import mock
 
@@ -20,8 +21,10 @@ from sherman_bounds import (
     ModulusNotCertified,
     PointOutOfInterval,
     QuadratureFailure,
+    ValidationError,
     WeightedVector,
     check_kernel_condition,
+    estimate_strong_modulus,
     full_chain,
     function_from_name,
     higher_order_sherman_bound,
@@ -29,9 +32,26 @@ from sherman_bounds import (
 )
 import sherman_bounds
 from sherman_bounds import fink
-from helpers import fsum_dot, gauss_legendre_pieces, random_chain_instance, two_sort_kernel_weight
+from helpers import (
+    fsum_dot,
+    gauss_legendre_pieces,
+    random_chain_instance,
+    shifted_spec,
+    two_sort_kernel_weight,
+)
 
 EXP01 = function_from_name("exp", (0.0, 1.0))
+
+#: The catalog functions and intervals of the shift tests.
+SHIFT_SPECS = [
+    pytest.param(name, interval, id=name)
+    for name, interval in [("exp", (0.0, 1.0)), ("xlogx", (0.1, 3.0)), ("pow:6", (0.5, 2.0))]
+]
+
+
+def overflow_pair(scale: float):
+    """``x = [-scale, scale]`` against its mean ``y = [0]``, each of weight 2."""
+    return WeightedVector([-scale, scale], [1.0, 1.0]), WeightedVector([0.0], [2.0])
 
 
 def fsum_kernel_weight(t, x, y, n, alpha, beta, right_limit=False) -> float:
@@ -319,6 +339,18 @@ class TestKernelCondition:
         cond = check_kernel_condition(edge, edge, 2, interval=(0.4, 0.6))
         assert cond.classification == "nonnegative"
 
+    @pytest.mark.parametrize("scale, n", [(1e120, 3), (1e150, 4)])
+    def test_overflow_is_never_a_sign(self, scale, n):
+        # every value is NaN, which passes both min() and a "< -tol" test; at
+        # 1e150 the Python-float power half^(n-1) overflowed before numpy ran
+        x, y = overflow_pair(scale)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for u, v in ((x, y), (y, x)):
+                cond = check_kernel_condition(u, v, n)
+                assert cond.classification == "indefinite"
+                assert math.isnan(cond.min_value) and math.isnan(cond.max_value)
+
     def test_one_point_hull_has_no_pieces(self):
         v = WeightedVector([0.5, 0.5], [1.0, 2.0])
         w = WeightedVector([0.5], [2.0])
@@ -565,6 +597,13 @@ class TestDifferenceIdentity:
         with pytest.raises(MajorizationNotVerified):
             sherman_difference_identity(x, shifted, EXP01, 2)
 
+    def test_overflow_at_an_end_is_typed(self):
+        # math.exp(1000) at beta overflows inside f'(beta); it raised a bare OverflowError
+        spec = FunctionSpec("e", math.exp, (math.exp,) * 3, (0.0, 1000.0))
+        x, y = WeightedVector([0.0, 600.0], [1.0, 1.0]), WeightedVector([300.0], [2.0])
+        with pytest.raises(ValidationError, match="non-finite value"):
+            sherman_difference_identity(x, y, spec, 3)
+
     def test_to_dict_keys(self):
         v = WeightedVector([0.5], [1.0])
         data = sherman_difference_identity(v, v, EXP01, 2).to_dict()
@@ -753,6 +792,64 @@ class TestHigherOrderBound:
         x, y, _ = random_chain_instance(np.random.default_rng(54), (0.0, 1.0))
         with pytest.raises(ValueError):
             higher_order_sherman_bound(x, y, EXP01, 2, c)
+
+    def test_overflowing_sides_are_typed(self):
+        # both gave a NaN bound with holds=False: f(1e100) = 1e400, and a
+        # kernel weight of order 1e400 that the certificate called one-signed
+        x, y = overflow_pair(1e100)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValidationError, match="non-finite value"):
+                higher_order_sherman_bound(
+                    x, y, function_from_name("pow:4", (-1e100, 1e100)), 2, 0.0)
+            x, y = overflow_pair(1e200)
+            with pytest.raises(KernelConditionIndefinite):
+                higher_order_sherman_bound(
+                    x, y, function_from_name("pow:2", (-1e200, 1e200)), 2, 0.5)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("name, interval", SHIFT_SPECS)
+    def test_zero_modulus_is_the_identity(self, name, interval, n):
+        # c = 0 subtracts nothing, so both sides are the identity's own terms
+        spec = function_from_name(name, interval)
+        rng = np.random.default_rng(57)
+        checked = 0
+        for _ in range(10):
+            x, y, _ = random_chain_instance(rng, interval)
+            try:
+                bound = higher_order_sherman_bound(x, y, spec, n, 0.0)
+            except (KernelConditionIndefinite, ModulusNotCertified):
+                continue  # odd orders are often indefinite; xlogx is not 3-convex
+            report = sherman_difference_identity(x, y, spec, n)
+            assert bound.lhs_with_correction.hex() == report.lhs.hex()
+            assert bound.rhs_boundary.hex() == report.boundary_terms.hex()
+            checked += 1
+        assert checked > 0 or (name, n) == ("xlogx", 3)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("name, interval", SHIFT_SPECS)
+    def test_shift_matches_a_shifted_spec(self, name, interval, n):
+        # the shift inside the terms against the identity of g = f - c t^n
+        # written out as its own spec; the coefficient c n!/(n-k)! may round
+        # differently, so the sides agree to a relative 1e-12
+        spec = function_from_name(name, interval)
+        cert = estimate_strong_modulus(spec, n)
+        c = cert.modulus if cert.verdict == "certified" else 0.1
+        g = shifted_spec(spec, n, c)
+        rng = np.random.default_rng(58)
+        bounds = 0
+        for _ in range(10):
+            x, y, _ = random_chain_instance(rng, interval)
+            oracle = sherman_difference_identity(x, y, g, n)
+            sides = fink._difference_terms(x, y, spec, n, c)
+            assert sides == pytest.approx((oracle.lhs, oracle.boundary_terms), rel=1e-12, abs=1e-300)
+            try:
+                bound = higher_order_sherman_bound(x, y, spec, n, c)
+            except (KernelConditionIndefinite, ModulusNotCertified):
+                continue
+            assert (bound.lhs_with_correction, bound.rhs_boundary) == sides
+            bounds += 1
+        assert bounds > 0 or (name, n) == ("xlogx", 3)
 
     def test_nonpositive_kernel_flips_the_inequality(self):
         rng = np.random.default_rng(47)
