@@ -26,7 +26,6 @@ from .convexity import (
     FunctionSpec,
     ModulusCertificate,
     SampleVerdict,
-    check_derivative_consistency,
     divided_difference,
     estimate_strong_modulus,
     function_from_name,
@@ -38,7 +37,6 @@ from .divergence import (
     DivergenceKernel,
     DivergenceSandwich,
     aggregated_divergence_bounds,
-    catalog,
     csiszar_divergence,
     divergence_bounds,
     get_kernel,
@@ -119,8 +117,6 @@ __all__ = [
     "WeightsNotNormalized",
     "ZeroAggregateWeight",
     "aggregated_divergence_bounds",
-    "catalog",
-    "check_derivative_consistency",
     "check_kernel_condition",
     "converse_sherman_strong",
     "csiszar_divergence",

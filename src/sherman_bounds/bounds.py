@@ -25,7 +25,6 @@ the mean-versus-average bound keeps its own centred spread
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 from typing import NamedTuple, Optional
@@ -41,7 +40,6 @@ from .errors import (
     DegenerateInterval,
     MajorizationNotVerified,
     ModulusNotCertified,
-    ValidationError,
     WeightsNotNormalized,
 )
 from .majorization import (
@@ -49,6 +47,8 @@ from .majorization import (
     StochasticMatrix,
     VerificationResult,
     WeightedVector,
+    _finite,
+    _fsum,
     verify_weighted_majorization,
 )
 
@@ -117,20 +117,6 @@ class BoundChain:
         return dict(out, warnings=list(self.warnings))
 
 
-def _check_normalized(weights: np.ndarray) -> None:
-    total = math.fsum(weights)
-    if abs(total - 1.0) > WEIGHT_SUM_TOL:
-        raise WeightsNotNormalized(f"weights sum to {total}, expected 1 within {WEIGHT_SUM_TOL}")
-
-
-def _require_passed(result: VerificationResult) -> None:
-    if not result.passed:
-        raise MajorizationNotVerified(
-            f"witness residuals (weights {result.weight_residual}, "
-            f"points {result.point_residual}) exceed {DEFAULT_TOL}"
-        )
-
-
 def _endpoint_width(spec: FunctionSpec) -> float:
     width = spec.beta - spec.alpha
     if width < MIN_INTERVAL_WIDTH:
@@ -152,7 +138,7 @@ class _SideSums:
         self.points, self.weights, self.spec = points, weights, spec
 
     def _sum(self, term) -> float:
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(all="ignore"):
             return float(self.weights @ term(self.points))
 
     f = cached_property(lambda self: self._sum(self.spec.evaluate))
@@ -161,14 +147,6 @@ class _SideSums:
     spread = cached_property(
         lambda self: self._sum(lambda x: (self.spec.beta - x) * (x - self.spec.alpha))
     )
-
-
-def _finite(*values: float) -> tuple[float, ...]:
-    """``values``, unless a sum behind one of them overflowed."""
-    for value in values:
-        if not math.isfinite(value):
-            raise ValidationError(f"non-finite value {value}: a sum overflows the float range")
-    return values
 
 
 def _sherman_link(x: _SideSums, y: _SideSums, modulus: float) -> tuple[float, ...]:
@@ -183,7 +161,7 @@ def _converse_link(x: _SideSums, total: float, modulus: float) -> tuple[float, .
     width = _endpoint_width(spec)
     al, be = spec.interval
     correction = modulus * x.spread
-    with np.errstate(over="ignore", invalid="ignore"):  # the path S_a f(x) takes
+    with np.errstate(all="ignore"):  # the path S_a f(x) takes
         f_al, f_be = spec.evaluate(spec.interval).tolist()
     numerator = (total * be - x.linear) * f_al + (x.linear - total * al) * f_be
     return _finite(numerator / width - correction, correction)
@@ -203,21 +181,22 @@ def jensen_strong(
         WeightsNotNormalized: if the weights do not sum to one.
         PointOutOfInterval: if a point leaves the interval.
         ModulusNotCertified: per :func:`resolve_modulus`.
+        ValidationError: if a value is not finite because a sum overflows.
     """
-    _check_normalized(x.weights)
+    if abs(x.weight_sum - 1.0) > WEIGHT_SUM_TOL:  # the fsum converse_sherman_strong reads
+        raise WeightsNotNormalized(f"weights sum to {x.weight_sum}, expected 1 within {WEIGHT_SUM_TOL}")
     spec.require_inside(x.points)
     modulus, _ = resolve_modulus(spec, c)
     pts = x.points
     wts = x.weights
-    xbar = float(wts @ pts)
-    # Centred on purpose: the one-row chain with y = xbar would compute
-    # S_a x^2 - xbar^2, which cancels when |xbar| is large next to the spread.
-    variance = float(wts @ ((pts - xbar) ** 2))
-    return JensenBound(
-        lhs=float(spec.evaluate([xbar])[0]),  # the path S_a f(x) takes
-        rhs=float(wts @ spec.evaluate(pts)) - modulus * variance,
-        variance_term=variance,
-    )
+    with np.errstate(all="ignore"):  # a non-finite value raises below
+        xbar = float(wts @ pts)
+        # Centred on purpose: the one-row chain with y = xbar would compute
+        # S_a x^2 - xbar^2, which cancels when |xbar| is large next to the spread.
+        variance = float(wts @ ((pts - xbar) ** 2))
+        lhs = float(spec.evaluate([xbar])[0])  # the path S_a f(x) takes
+        rhs = float(wts @ spec.evaluate(pts)) - modulus * variance
+    return JensenBound(*_finite(lhs, rhs, variance))
 
 
 def converse_sherman_strong(
@@ -282,7 +261,11 @@ def full_chain(
     spec.require_inside(x.points)
     spec.require_inside(y.points)
     result = verify_weighted_majorization(x, y, matrix)
-    _require_passed(result)
+    if not result.passed:
+        raise MajorizationNotVerified(
+            f"witness residuals (weights {result.weight_residual}, "
+            f"points {result.point_residual}) exceed {DEFAULT_TOL}"
+        )
     modulus, resolved = resolve_modulus(spec, c)
     if certificate is not None and certificate != resolved:
         raise ModulusNotCertified(f"the given certificate is not the one of {spec.name}")
@@ -300,7 +283,7 @@ def _chain_links(x: _SideSums, y: _SideSums, modulus: float) -> BoundChain:
     Raises:
         ValidationError: if a link is not finite because a sum overflows.
     """
-    total = math.fsum(y.weights)
+    total = _fsum(y.weights)
     warnings = ("all weights are zero; every sum in the chain is vacuous",) if total <= 0.0 else ()
     # The converse link first: a degenerate interval fails before f is evaluated.
     converse, correction_converse = _converse_link(x, total, modulus)

@@ -2,7 +2,8 @@
 
 A function enters the package as a :class:`FunctionSpec`: an evaluator, a
 tuple of derivative evaluators, and the closed interval the function is
-defined on.  On top of that this module provides
+defined on (a point where a scalar callable overflows evaluates to NaN).
+On top of that this module provides
 
 * divided differences with repeated nodes (``[z,...,z; f]`` of ``j+1``
   copies resolves to ``f^(j)(z)/j!``),
@@ -58,10 +59,6 @@ DEFAULT_SAMPLE_COUNT = 200
 
 #: Highest derivative order the built-in catalog provides.
 CATALOG_ORDER = 6
-
-#: Interior nodes and relative tolerance of :func:`check_derivative_consistency`.
-CONSISTENCY_GRID = 33
-CONSISTENCY_REL_TOL = 1e-5
 
 
 @dataclass(frozen=True, slots=True)
@@ -126,17 +123,17 @@ class FunctionSpec:
     def evaluate(self, points, order: int = 0) -> np.ndarray:
         """Values of the derivative of the given order (0 = f) at every point.
 
-        The callable is called once on the whole array.  One that rejects
-        arrays (``TypeError``/``ValueError``) or returns another shape, such
-        as ``math.exp``, is called point by point instead; a point whose
-        call raises ``OverflowError`` is NaN there, since the sign of the
-        lost value is unknown.
+        The callable is called once on the whole array.  One that raises
+        ``TypeError``, ``ValueError`` or ``OverflowError`` or returns another
+        shape, such as ``math.exp``, is called point by point instead; a point
+        whose call raises ``OverflowError`` is NaN there, since the sign of
+        the lost value is unknown.
         """
         fn = self.derivative(order)
         pts = np.asarray(points, dtype=float)
         try:
             values = np.asarray(fn(pts), dtype=float)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):  # math.exp takes a 0-d array
             values = None
         if values is None or values.shape != pts.shape:
             values = np.array([_value_or_nan(fn, t) for t in pts.ravel().tolist()], dtype=float)
@@ -400,25 +397,6 @@ def is_n_strongly_convex(
         samples=sample_count,
         threshold=threshold,
     )
-
-
-def check_derivative_consistency(spec: FunctionSpec) -> bool:
-    """Self-test each derivative against central differences of the previous one.
-
-    Uses step ``h = (beta-alpha)*1e-5`` on :data:`CONSISTENCY_GRID` interior
-    nodes and accepts when ``|central - exact| <= tol * (|exact| + 1)``
-    everywhere, for ``tol =`` :data:`CONSISTENCY_REL_TOL`.  Intended as a
-    sanity check for hand-written derivative tuples.
-    """
-    lo, hi = spec.interval
-    h = (hi - lo) * 1e-5
-    ts = np.linspace(lo + 2.0 * h, hi - 2.0 * h, CONSISTENCY_GRID)
-    for k in range(1, spec.max_order + 1):
-        approx = (spec.evaluate(ts + h, k - 1) - spec.evaluate(ts - h, k - 1)) / (2.0 * h)
-        exact = spec.evaluate(ts, k)
-        if np.any(np.abs(approx - exact) > CONSISTENCY_REL_TOL * (np.abs(exact) + 1.0)):
-            return False
-    return True
 
 
 def constant(value: float) -> Evaluator:

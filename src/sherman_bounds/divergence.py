@@ -23,19 +23,20 @@ Every link comes from the chain's own evaluators in :mod:`.bounds`.  Each
 generator is declared once, as an entry of the catalog table form of
 :mod:`.convexity`, and built by its builder; ``kl`` and ``renyi`` reuse
 the catalog functions ``xlogx`` and ``pow:a``.  The Kullback-Leibler
-divergence is the ``kl`` kernel's (``f(t) = t log t``).
+divergence is the ``kl`` kernel's (``f(t) = t log t``).  Totals of ``p``,
+``q`` or their aggregated rows that overflow raise ``ValidationError``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
-from .bounds import _chain_links, _finite, _SideSums
+from .bounds import _chain_links, _SideSums
 from .convexity import (
     FunctionSpec,
     ModulusCertificate,
@@ -55,7 +56,7 @@ from .errors import (
     ValidationError,
     ZeroAggregateWeight,
 )
-from .majorization import StochasticMatrix
+from .majorization import StochasticMatrix, _finite
 
 #: Default ratio interval for catalog kernels.
 DEFAULT_KERNEL_INTERVAL = (0.1, 10.0)
@@ -98,11 +99,6 @@ class DivergenceKernel:
         if self.convexity_class != _STRONGLY_CONVEX:
             return None
         return estimate_strong_modulus(self.generator, 2)
-
-    @property
-    def modulus(self) -> Optional[float]:
-        cert = self.modulus_certificate
-        return None if cert is None else cert.modulus
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,8 +177,8 @@ def _hellinger(t: float) -> float:
 
 
 #: Every generator but ``kl`` and ``renyi``, which reuse ``xlogx`` and ``pow:a``,
-#: with its convexity class, in the order of :func:`catalog`.  ``convexity._FUNCTIONS``'s
-#: minimum rule holds: the ``f'`` of hellinger and of triangular increase.
+#: with its convexity class.  ``convexity._FUNCTIONS``'s minimum rule holds: the
+#: ``f'`` of hellinger and of triangular increase.
 _GENERATORS = {
     # orders >= 2 of -sqrt(t)
     "hellinger": (_CatalogEntry(_hellinger, (-1.0, 0.5, -0.0),
@@ -246,11 +242,6 @@ def get_kernel(name: str, interval: Optional[tuple[float, float]] = None) -> Div
     return kernel
 
 
-def catalog(interval: Optional[tuple[float, float]] = None) -> list[DivergenceKernel]:
-    """All catalog kernels on one ratio interval (Renyi with alpha = 2)."""
-    return [get_kernel(name, interval) for name in ("kl", *_GENERATORS, "renyi:2")]
-
-
 def _require_ratios_inside(values: np.ndarray, kernel: DivergenceKernel) -> None:
     lo, hi = kernel.generator.interval
     if _first_outside(values, lo, hi) is not None:
@@ -298,16 +289,9 @@ class DivergenceSandwich:
     warnings: tuple[str, ...] = ()
 
     def to_dict(self) -> dict:
-        return {
-            "kernel": self.kernel_name,
-            "lower_ck": self.lower_ck,
-            "lower_strong": self.lower_strong,
-            "value": self.value,
-            "upper_converse": self.upper_converse,
-            "modulus": self.modulus,
-            "holds": self.holds,
-            "warnings": list(self.warnings),
-        }
+        """Every field, ``kernel_name`` as ``kernel`` and ``warnings`` as a list."""
+        out = asdict(self)
+        return dict(out, kernel=out.pop("kernel_name"), warnings=list(self.warnings))
 
 
 def aggregated_divergence_bounds(
@@ -340,6 +324,7 @@ def aggregated_divergence_bounds(
         ZeroAggregateWeight: if a row of ``matrix`` carries no mass.
         RatioOutOfDomain: if a ratio leaves the generator's interval.
         DimensionMismatch: if the matrix width differs from the pair.
+        ValidationError: if a total overflows the float range.
     """
     if matrix.kind == "row":
         raise ValidationError("aggregation needs a column-stochastic matrix")
@@ -348,13 +333,16 @@ def aggregated_divergence_bounds(
         raise DimensionMismatch(
             f"aggregation matrix has {cols} columns for {pair.size} outcomes"
         )
-    weights = matrix.entries @ pair.p
+    with np.errstate(all="ignore"):  # a zero or overflowing total raises below
+        weights = matrix.entries @ pair.p
+        ratios = (matrix.entries @ pair.q) / weights
     if np.any(weights <= 0.0):
         raise ZeroAggregateWeight("an aggregation row carries zero probability mass")
+    _finite(weights.max(), ratios.max())
     # A = pR/b needs no check: R >= 0 and b = Rp > 0 make it nonnegative and
     # row-stochastic, (bA)_j = p_j S_i R_ij is a to R's validated column sums,
     # and (Ax)_i = S_j (p_j R_ij / b_i)(q_j / p_j) = (Rq)_i / b_i = y_i exactly.
-    return _aggregated_sandwich(pair, weights, (matrix.entries @ pair.q) / weights, kernel, c)
+    return _aggregated_sandwich(pair, weights, ratios, kernel, c)
 
 
 def divergence_bounds(
@@ -368,10 +356,9 @@ def divergence_bounds(
     classical total-mass bound ``S_j p_j * f(S q / S p)``.  See
     :func:`aggregated_divergence_bounds` for arguments and errors.
     """
-    with np.errstate(over="ignore"):  # an overflowing total fails the ratio check
-        total = pair.p.sum()
-        ratio = pair.q.sum() / total
-    return _aggregated_sandwich(pair, np.array([total]), np.array([ratio]), kernel, c)
+    with np.errstate(over="ignore"):  # an overflowing total raises below
+        total, merged = _finite(pair.p.sum(), pair.q.sum())
+    return _aggregated_sandwich(pair, np.array([total]), np.array([merged / total]), kernel, c)
 
 
 def _aggregated_sandwich(

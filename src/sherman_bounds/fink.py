@@ -23,7 +23,8 @@ The kernel weight is a polynomial between consecutive data points; its
 sign is proved piece by piece from Bernstein coefficients.  Integrals are
 split into the same pieces, which QUADPACK's first 21-point Gauss-Kronrod
 step integrates in one array evaluation; ``quad`` gets only the pieces
-whose first estimate QUADPACK would not accept.
+whose first estimate QUADPACK would not accept.  A weight, a piece or a
+sum outside the float range raises ``ValidationError``, never a warning.
 """
 
 from __future__ import annotations
@@ -37,15 +38,15 @@ from typing import NamedTuple, Optional
 import numpy as np
 from scipy.integrate import quad
 
-from .bounds import _finite
 from .convexity import FunctionSpec, _first_outside, resolve_modulus
 from .errors import (
     KernelConditionIndefinite,
     MajorizationNotVerified,
     PointOutOfInterval,
     QuadratureFailure,
+    ValidationError,
 )
-from .majorization import WeightedVector
+from .majorization import WeightedVector, _finite
 
 #: Sign classification threshold for the combined kernel weight.
 KERNEL_SIGN_TOL = 1e-12
@@ -117,6 +118,7 @@ def _first_step(integrand, cuts: np.ndarray, tol: float):
     return result, abserr, accepted & (MAX_SUBDIVISIONS > 1)
 
 
+@np.errstate(all="ignore")  # quad's integrand calls too: a non-finite piece or result raises
 def _integrate_pieces(integrand, cuts: np.ndarray, tol: float) -> float:
     """Sum of the integrals of ``integrand(t, i)`` over increasing ``cuts`` (two or more).
 
@@ -126,6 +128,8 @@ def _integrate_pieces(integrand, cuts: np.ndarray, tol: float) -> float:
     ``max(10 tol, 10 tol |total|)``.
     """
     result, abserr, accepted = _first_step(integrand, cuts, tol)
+    if not np.isfinite(result).all():
+        raise ValidationError("an integral over a piece overflows the float range")
     for i in np.flatnonzero(~accepted).tolist():
         lo, hi = float(cuts[i]), float(cuts[i + 1])
         out = quad(integrand, lo, hi, args=(i,), epsabs=tol / result.size,
@@ -144,7 +148,7 @@ def _interior_cuts(alpha: float, beta: float, interior) -> np.ndarray:
     """``alpha``, the sorted ``interior`` points strictly inside, and ``beta``, each once."""
     pts = np.asarray(interior, dtype=float)
     cuts = np.concatenate([[alpha], pts[(pts > alpha) & (pts < beta)], [beta]])
-    return cuts[np.concatenate([[True], np.diff(cuts) != 0.0])]
+    return cuts[np.concatenate([[True], cuts[1:] != cuts[:-1]])]
 
 
 @dataclass(frozen=True, slots=True)
@@ -305,6 +309,7 @@ class _KernelWeight:
         r = (self.center - t) / self.half
         return (t - self.alpha) * _horner(suffix, r) + (t - self.beta) * _horner(prefix, r)
 
+    @np.errstate(all="ignore")  # non-finite nodes, values and coefficients are refused below
     def sign_certificate(self) -> KernelCondition:
         """The sign certificate of :func:`check_kernel_condition` for this weight."""
         suffix, prefix = self.pieces
@@ -315,9 +320,8 @@ class _KernelWeight:
         for depth in range(MAX_SIGN_DEPTH + 1):
             t = lo + (hi - lo) * (np.arange(n + 1) / n)[:, None]
             t[-1] = hi
-            with np.errstate(all="ignore"):  # non-finite values are refused below
-                values = self.polynomial(t, suffix, prefix)
-                coeffs = _bernstein_from_values(n) @ values
+            values = self.polynomial(t, suffix, prefix)
+            coeffs = _bernstein_from_values(n) @ values
             count += lo.size
             if not (np.isfinite(values).all() and np.isfinite(coeffs).all()):
                 return KernelCondition("indefinite", math.nan, math.nan, count)
@@ -442,7 +446,8 @@ def sherman_difference_identity(
         ValueError: if ``n < 1`` or ``quad_tol`` is not finite and positive.
         MajorizationNotVerified: if either moment condition fails.
         MissingDerivative: if derivatives up to order ``n`` are missing.
-        ValidationError: if ``lhs`` or the endpoint sum is not finite.
+        ValidationError: if ``lhs``, the endpoint sum, the kernel weight, a
+            piece's first integral estimate or the residual is not finite.
         QuadratureFailure: if the integrator gives up.
     """
     if not (math.isfinite(quad_tol) and quad_tol > 0):
@@ -450,6 +455,8 @@ def sherman_difference_identity(
     lhs, boundary = _difference_terms(x, y, spec, n)
     al, be = spec.interval
     weight = _KernelWeight(x, y, n, al, be)
+    condition = weight.sign_certificate()
+    _finite(condition.min_value)  # NaN extremes: the kernel weight overflows
     suffix, prefix = weight.pieces
 
     def integrand(t, i):
@@ -462,8 +469,8 @@ def sherman_difference_identity(
         lhs=lhs,
         boundary_terms=boundary,
         integral_term=integral,
-        residual=lhs - boundary - integral,
-        kernel_condition=weight.sign_certificate().classification,
+        residual=_finite(lhs - boundary - integral)[0],
+        kernel_condition=condition.classification,
     )
 
 
@@ -504,7 +511,7 @@ def _difference_terms(
     def s(z, w):  # S_w(z) = S_a (x-z)^w - S_b (y-z)^w
         return float(x.weights @ (x.points - z) ** w) - float(y.weights @ (y.points - z) ** w)
 
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result raises below
+    with np.errstate(all="ignore"):  # a non-finite result raises below
         lhs = float(x.weights @ g(x.points, 0)) - float(y.weights @ g(y.points, 0))
         boundary = 0.0
         for w in range(2, n):

@@ -39,6 +39,22 @@ ENTRY_CLAMP_TOL = 1e-14
 _BLOCK_BYTES = 1 << 20
 
 
+def _finite(*values: float) -> tuple[float, ...]:
+    """``values``, unless a sum behind one of them overflowed."""
+    for value in values:
+        if not math.isfinite(value):
+            raise ValidationError(f"non-finite value {value}: a sum overflows the float range")
+    return values
+
+
+def _fsum(values) -> float:
+    """``math.fsum(values)``, unless a term or the sum leaves the float range."""
+    try:
+        return _finite(math.fsum(values))[0]
+    except (OverflowError, ValueError):  # ValueError: inf - inf among the terms
+        raise ValidationError("a sum overflows the float range") from None
+
+
 def _as_vector(values, label: str) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 1:
@@ -115,14 +131,13 @@ class WeightedVector:
 
     @property
     def weight_sum(self) -> float:
-        return self._memoized("weight_sum", lambda: float(math.fsum(self.weights)))
+        return self._memoized("weight_sum", lambda: _fsum(self.weights))
 
     @property
     def _first_moment(self) -> float:
         """``fsum`` of ``weights * points``."""
-        return self._memoized(
-            "first_moment", lambda: math.fsum((self.weights * self.points).tolist())
-        )
+        with np.errstate(over="ignore"):  # an overflowing term fails the fsum
+            return self._memoized("first_moment", lambda: _fsum((self.weights * self.points).tolist()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -241,7 +256,7 @@ def majorizes(x, y, tol: float = DEFAULT_TOL, *, with_matrix: bool = False) -> M
     Raises:
         ValueError: unless ``tol`` is finite and nonnegative.
         LengthMismatch: if the vectors differ in length.
-        ValidationError: if a vector has a NaN or infinite entry or its sum overflows.
+        ValidationError: if a vector is not finite, or its sum or a witness's spread overflows.
         NotMajorized: with ``with_matrix``, if the witness misses ``y``
             by more than ``1e-10 * max(1, max_i |x_i|)``.
     """
@@ -285,6 +300,7 @@ def _t_transform_witness(xa: np.ndarray, ya: np.ndarray) -> tuple[StochasticMatr
     into ``A`` in the original coordinate order, so the witness costs
     O(m^2).
     """
+    _finite(float(xa.max()) - float(xa.min()))  # a T-step divides by v[j] - v[k]
     m = xa.size
     ordx = np.argsort(-xa, kind="stable")
     ordy = np.argsort(-ya, kind="stable")
@@ -382,7 +398,7 @@ def verify_weighted_majorization(
     ``y = A x`` within :data:`DEFAULT_TOL` in the max norm.
 
     Raises:
-        ValidationError: if ``matrix`` is only column-stochastic.
+        ValidationError: if ``matrix`` is only column-stochastic or a product overflows.
         DimensionMismatch: if the shape does not match the vectors.
     """
     if matrix.kind == "column":
@@ -392,8 +408,10 @@ def verify_weighted_majorization(
         raise DimensionMismatch(
             f"witness shape {matrix.shape} incompatible with sizes ({y.size}, {x.size})"
         )
-    weight_residual = float(np.abs(x.weights - y.weights @ matrix.entries).max())
-    point_residual = float(np.abs(y.points - matrix.entries @ x.points).max())
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing product raises below
+        weight_residual = float(np.abs(x.weights - y.weights @ matrix.entries).max())
+        point_residual = float(np.abs(y.points - matrix.entries @ x.points).max())
+    _finite(weight_residual, point_residual)
     return VerificationResult(
         passed=weight_residual <= DEFAULT_TOL and point_residual <= DEFAULT_TOL,
         weight_residual=weight_residual,

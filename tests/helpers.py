@@ -83,6 +83,35 @@ def shifted_spec(spec, n: int, c: float):
     )
 
 
+def check_derivative_consistency(spec) -> bool:
+    """Oracle for a derivative table: each order against central differences of the one below.
+
+    Uses step ``h = (beta-alpha)*1e-5`` on 33 interior nodes and accepts
+    when ``|central - exact| <= 1e-5 * (|exact| + 1)`` everywhere.
+    """
+    lo, hi = spec.interval
+    h = (hi - lo) * 1e-5
+    ts = np.linspace(lo + 2.0 * h, hi - 2.0 * h, 33)
+    for k in range(1, spec.max_order + 1):
+        approx = (spec.evaluate(ts + h, k - 1) - spec.evaluate(ts - h, k - 1)) / (2.0 * h)
+        exact = spec.evaluate(ts, k)
+        if np.any(np.abs(approx - exact) > 1e-5 * (np.abs(exact) + 1.0)):
+            return False
+    return True
+
+
+def catalog(interval=None) -> list:
+    """Every catalog kernel on one ratio interval, Renyi with exponent 2."""
+    from sherman_bounds import divergence, get_kernel
+
+    return [get_kernel(name, interval) for name in ("kl", *divergence._GENERATORS, "renyi:2")]
+
+
+def overflow_pair(scale: float):
+    """``x = [-scale, scale]`` against its mean ``y = [0]``, each of weight 2."""
+    return WeightedVector([-scale, scale], [1.0, 1.0]), WeightedVector([0.0], [2.0])
+
+
 def random_row_stochastic(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     return rng.dirichlet(np.ones(cols), size=rows)
 

@@ -24,7 +24,6 @@ from sherman_bounds import (
     WeightedVector,
     ZeroAggregateWeight,
     aggregated_divergence_bounds,
-    catalog,
     csiszar_divergence,
     divergence_bounds,
     estimate_strong_modulus,
@@ -34,7 +33,9 @@ from sherman_bounds import (
     verify_weighted_majorization,
 )
 from sherman_bounds.convexity import CATALOG_ORDER
-from helpers import count_certificates, entropy_via_kl, fsum_dot, kl_fsum, random_row_stochastic
+from helpers import (
+    catalog, count_certificates, entropy_via_kl, fsum_dot, kl_fsum, random_row_stochastic,
+)
 
 CLOSED_FORMS = {
     "kl": lambda p, q: math.fsum(qi * math.log(qi / pi) for pi, qi in zip(p, q)),
@@ -109,7 +110,7 @@ class TestCatalog:
             if name in strongly:
                 assert kernel.convexity_class == "strongly_convex"
                 assert kernel.modulus_certificate.verdict == "certified"
-                assert kernel.modulus > 0.0
+                assert kernel.modulus_certificate.modulus > 0.0
             else:
                 assert kernel.modulus_certificate is None
         assert kernels["variational"].convexity_class == "convex_only"
@@ -154,12 +155,12 @@ class TestCatalog:
 
     def test_certified_moduli(self):
         # second-derivative minima over [0.1, 10], divided by two
-        assert abs(get_kernel("chi_square").modulus - 1.0) <= 1e-15
-        assert abs(get_kernel("renyi:2").modulus - 1.0) <= 1e-15
-        assert abs(get_kernel("kl").modulus - 0.05) <= 1e-15
-        assert abs(get_kernel("hellinger").modulus - 0.125 * 10.0**-1.5) <= 1e-15
-        assert abs(get_kernel("bhattacharya").modulus - 0.125 * 10.0**-1.5) <= 1e-15
-        assert abs(get_kernel("triangular").modulus - 4.0 / 11.0**3) <= 1e-15
+        assert abs(get_kernel("chi_square").modulus_certificate.modulus - 1.0) <= 1e-15
+        assert abs(get_kernel("renyi:2").modulus_certificate.modulus - 1.0) <= 1e-15
+        assert abs(get_kernel("kl").modulus_certificate.modulus - 0.05) <= 1e-15
+        assert abs(get_kernel("hellinger").modulus_certificate.modulus - 0.125 * 10.0**-1.5) <= 1e-15
+        assert abs(get_kernel("bhattacharya").modulus_certificate.modulus - 0.125 * 10.0**-1.5) <= 1e-15
+        assert abs(get_kernel("triangular").modulus_certificate.modulus - 4.0 / 11.0**3) <= 1e-15
 
     def test_name_normalization_and_renyi(self):
         assert get_kernel(" Chi-Square ").name == "chi_square"
@@ -357,7 +358,7 @@ class TestDivergenceBounds:
             assert abs(s.value - kl_fsum(pair.p, pair.q)) <= 1e-12
             # quadratic term: modulus times the chi-square spread
             chi2 = fsum_dot(pair.p, [r * r for r in pair.ratios]) - 1.0
-            assert abs(s.lower_strong - kernel.modulus * chi2) <= 1e-12
+            assert abs(s.lower_strong - kernel.modulus_certificate.modulus * chi2) <= 1e-12
 
     def test_modulus_override(self):
         pair = DistributionPair([0.5, 0.5], [0.2, 0.8])

@@ -35,6 +35,7 @@ from sherman_bounds import fink
 from helpers import (
     fsum_dot,
     gauss_legendre_pieces,
+    overflow_pair,
     random_chain_instance,
     shifted_spec,
     two_sort_kernel_weight,
@@ -47,11 +48,6 @@ SHIFT_SPECS = [
     pytest.param(name, interval, id=name)
     for name, interval in [("exp", (0.0, 1.0)), ("xlogx", (0.1, 3.0)), ("pow:6", (0.5, 2.0))]
 ]
-
-
-def overflow_pair(scale: float):
-    """``x = [-scale, scale]`` against its mean ``y = [0]``, each of weight 2."""
-    return WeightedVector([-scale, scale], [1.0, 1.0]), WeightedVector([0.0], [2.0])
 
 
 def fsum_kernel_weight(t, x, y, n, alpha, beta, right_limit=False) -> float:
