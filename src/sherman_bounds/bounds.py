@@ -12,21 +12,20 @@ chain reads, writing ``S_b f(y)`` for ``sum_i b_i f(y_i)`` and so on::
 
 with ``B = sum_i b_i = sum_j a_j``.  Setting ``c = 0`` recovers the
 classical majorization and endpoint bounds; a larger certified ``c``
-tightens both ends.  Each link has one evaluator and one public entry
-point: :func:`full_chain` verifies the witness, certifies the modulus and
-reports every link, and :func:`converse_sherman_strong` is the endpoint
-bound alone, at the total weight of its own side.  The links read each
-side's weighted sums from one lazy helper, which a divergence pair keeps
-per generator, and reject a sum that overflowed.  Of the one-row special
-cases, the strong Lah-Ribaric bound is the converse at total weight one;
-the mean-versus-average bound keeps its own centred spread
-``S_a (x - xbar)^2``.
+tightens both ends.  Each link has one evaluator, and :mod:`.fink` reads
+the strong one at every order ``n``.  :func:`full_chain` verifies the
+witness, certifies the modulus and reports every link, and
+:func:`converse_sherman_strong` is the endpoint bound alone, at the total
+weight of its own side.  The links, Jensen and :mod:`.fink` read each
+side's sums from one lazy helper, which a divergence pair keeps per
+generator, and reject a sum that overflowed; at ``c = 0`` no link reads a
+power sum or the spread.  At total weight one the converse is the strong
+Lah-Ribaric bound; Jensen stays centred, on ``S_a (x - xbar)^2``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
-from functools import cached_property
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -117,53 +116,48 @@ class BoundChain:
         return dict(out, warnings=list(self.warnings))
 
 
-def _endpoint_width(spec: FunctionSpec) -> float:
-    width = spec.beta - spec.alpha
-    if width < MIN_INTERVAL_WIDTH:
-        raise DegenerateInterval(
-            f"interval width {width} too small for endpoint bounds"
-        )
-    return width
-
-
 class _SideSums:
-    """The weighted sums of one side ``(x, a)`` of the chain, each computed on first use.
+    """The weighted sums of one side ``(x, a)`` of a link, each computed on first use.
 
-    ``f`` is ``S_a f(x)``, ``linear`` is ``S_a x``, ``square`` is
-    ``S_a x^2`` and ``spread`` is ``S_a (beta - x)(x - alpha)``.  A sum
-    that overflows is ``inf`` or NaN, without a warning; the links reject it.
+    ``f`` is ``S_a f(x)``, ``power(w, z)`` is ``S_a (x - z)^w``, ``spread`` is
+    ``S_a (beta - x)(x - alpha)`` and ``memo`` holds those read.  The readers
+    silence overflow and reject a sum that is ``inf`` or NaN.
     """
 
     def __init__(self, points: np.ndarray, weights: np.ndarray, spec: FunctionSpec) -> None:
-        self.points, self.weights, self.spec = points, weights, spec
+        self.points, self.weights, self.spec, self.memo = points, weights, spec, {}
 
-    def _sum(self, term) -> float:
-        with np.errstate(all="ignore"):
-            return float(self.weights @ term(self.points))
+    def _sum(self, key, terms) -> float:
+        if key not in self.memo:
+            self.memo[key] = float(self.weights @ terms())
+        return self.memo[key]
 
-    f = cached_property(lambda self: self._sum(self.spec.evaluate))
-    linear = cached_property(lambda self: self._sum(lambda x: x))
-    square = cached_property(lambda self: self._sum(lambda x: x * x))
-    spread = cached_property(
-        lambda self: self._sum(lambda x: (self.spec.beta - x) * (x - self.spec.alpha))
-    )
+    f = property(lambda self: self._sum("f", lambda: self.spec.evaluate(self.points)))
+    spread = property(lambda self: self._sum(
+        "spread", lambda: (self.spec.beta - self.points) * (self.points - self.spec.alpha)))
+
+    def power(self, w: int, z: float = 0.0) -> float:
+        if (w, z) not in self.memo:  # the links' hot path: no closure
+            self.memo[w, z] = float(self.weights @ (self.points - z if z else self.points) ** w)
+        return self.memo[w, z]
 
 
-def _sherman_link(x: _SideSums, y: _SideSums, modulus: float) -> tuple[float, ...]:
-    """``(S_b f(y), strong bound, S_a f(x), c * (S_a x^2 - S_b y^2))``: the strong Sherman link."""
-    correction = modulus * (x.square - y.square)
+def _sherman_link(x: _SideSums, y: _SideSums, modulus: float, n: int = 2) -> tuple[float, ...]:
+    """``(S_b f(y), strong bound, S_a f(x), c * (S_a x^n - S_b y^n))``: the strong Sherman link."""
+    correction = modulus * (x.power(n) - y.power(n)) if modulus else 0.0
     return _finite(y.f, x.f - correction, x.f, correction)
 
 
 def _converse_link(x: _SideSums, total: float, modulus: float) -> tuple[float, ...]:
     """``(endpoint bound, c * S_a (beta - x)(x - alpha))`` at total weight ``total``."""
     spec = x.spec
-    width = _endpoint_width(spec)
     al, be = spec.interval
-    correction = modulus * x.spread
-    with np.errstate(all="ignore"):  # the path S_a f(x) takes
-        f_al, f_be = spec.evaluate(spec.interval).tolist()
-    numerator = (total * be - x.linear) * f_al + (x.linear - total * al) * f_be
+    width = be - al
+    if width < MIN_INTERVAL_WIDTH:
+        raise DegenerateInterval(f"interval width {width} too small for endpoint bounds")
+    correction = modulus * x.spread if modulus else 0.0
+    f_al, f_be = spec.evaluate(spec.interval).tolist()  # the path S_a f(x) takes
+    numerator = (total * be - x.power(1)) * f_al + (x.power(1) - total * al) * f_be
     return _finite(numerator / width - correction, correction)
 
 
@@ -187,15 +181,14 @@ def jensen_strong(
         raise WeightsNotNormalized(f"weights sum to {x.weight_sum}, expected 1 within {WEIGHT_SUM_TOL}")
     spec.require_inside(x.points)
     modulus, _ = resolve_modulus(spec, c)
-    pts = x.points
-    wts = x.weights
+    sums = _SideSums(x.points, x.weights, spec)
     with np.errstate(all="ignore"):  # a non-finite value raises below
-        xbar = float(wts @ pts)
+        xbar = sums.power(1)
         # Centred on purpose: the one-row chain with y = xbar would compute
         # S_a x^2 - xbar^2, which cancels when |xbar| is large next to the spread.
-        variance = float(wts @ ((pts - xbar) ** 2))
+        variance = sums.power(2, xbar)
         lhs = float(spec.evaluate([xbar])[0])  # the path S_a f(x) takes
-        rhs = float(wts @ spec.evaluate(pts)) - modulus * variance
+        rhs = sums.f - modulus * variance
     return JensenBound(*_finite(lhs, rhs, variance))
 
 
@@ -220,7 +213,8 @@ def converse_sherman_strong(
     """
     spec.require_inside(x.points)
     modulus, _ = resolve_modulus(spec, c)
-    return _converse_link(_SideSums(x.points, x.weights, spec), x.weight_sum, modulus)[0]
+    with np.errstate(all="ignore"):  # the link rejects a sum that overflows
+        return _converse_link(_SideSums(x.points, x.weights, spec), x.weight_sum, modulus)[0]
 
 
 def full_chain(
@@ -285,9 +279,10 @@ def _chain_links(x: _SideSums, y: _SideSums, modulus: float) -> BoundChain:
     """
     total = _fsum(y.weights)
     warnings = ("all weights are zero; every sum in the chain is vacuous",) if total <= 0.0 else ()
-    # The converse link first: a degenerate interval fails before f is evaluated.
-    converse, correction_converse = _converse_link(x, total, modulus)
-    lhs, strong, plain, correction_quadratic = _sherman_link(x, y, modulus)
+    with np.errstate(all="ignore"):  # the links reject a sum that overflows
+        # The converse link first: a degenerate interval fails before f is evaluated.
+        converse, correction_converse = _converse_link(x, total, modulus)
+        lhs, strong, plain, correction_quadratic = _sherman_link(x, y, modulus)
     chain_holds = (
         lhs <= strong + CHAIN_SLACK
         and strong <= plain + CHAIN_SLACK

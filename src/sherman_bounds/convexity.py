@@ -191,13 +191,18 @@ def divided_difference(points, spec: FunctionSpec) -> float:
         EmptyPoints: if no nodes are given.
         PointOutOfInterval: if a node leaves the interval.
         MissingDerivative: if coincident nodes need an unavailable order.
+        ValidationError: if the difference is not finite.
     """
     pts = np.sort(np.asarray(points, dtype=float).ravel())
     if not pts.size:
         raise EmptyPoints("divided_difference needs at least one node")
-    return float(_divided_differences(pts[None, :], spec)[0])
+    value = float(_divided_differences(pts[None, :], spec)[0])
+    if not math.isfinite(value):
+        raise ValidationError(f"divided difference of {spec.name} is {value}, not finite")
+    return value
 
 
+@np.errstate(all="ignore")  # a value or a difference outside the float range is inf or NaN
 def _divided_differences(nodes: np.ndarray, spec: FunctionSpec) -> np.ndarray:
     """``[row; f]`` for every increasingly sorted row of ``nodes``, column-wise."""
     spec.require_inside(nodes)
@@ -205,8 +210,7 @@ def _divided_differences(nodes: np.ndarray, spec: FunctionSpec) -> np.ndarray:
     for j in range(1, nodes.shape[1]):
         lo, hi = nodes[:, :-j], nodes[:, j:]
         tie = hi == lo
-        with np.errstate(divide="ignore", invalid="ignore"):
-            col = (col[:, 1:] - col[:, :-1]) / (hi - lo)
+        col = (col[:, 1:] - col[:, :-1]) / (hi - lo)
         if tie.any():
             # j+1 coincident copies of lo: confluent limit f^(j)(lo)/j!
             if spec.max_order < j:

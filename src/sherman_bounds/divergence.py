@@ -258,7 +258,8 @@ def csiszar_divergence(pair: DistributionPair, kernel: DivergenceKernel) -> floa
         RatioOutOfDomain: if a ratio leaves the generator's interval.
         ValidationError: if the sum overflows the float range.
     """
-    return _finite(pair._majorant_sums(kernel).f)[0]
+    with np.errstate(all="ignore"):  # an overflowing sum raises below
+        return _finite(pair._majorant_sums(kernel).f)[0]
 
 
 @dataclass(frozen=True)

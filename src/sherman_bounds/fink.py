@@ -16,8 +16,9 @@ computable bounds whenever the combined kernel weight has one sign on the
 interval, which holds in particular for even ``n`` on verified pairs.
 Applying that to the shift ``g = f - c*t^n`` of an ``f`` certified
 n-strongly convex with modulus ``c`` produces the higher-order analogue
-of the corrected bound (:func:`higher_order_sherman_bound`), with the shift
-applied inside the identity's terms, ``g^(k) = f^(k) - c n!/(n-k)! t^(n-k)``.
+of the corrected bound (:func:`higher_order_sherman_bound`), whose left
+side is the strong link of :mod:`.bounds` at order ``n``; the shift
+``g^(k) = f^(k) - c n!/(n-k)! t^(n-k)`` applies at the interval's ends only.
 
 The kernel weight is a polynomial between consecutive data points; its
 sign is proved piece by piece from Bernstein coefficients.  Integrals are
@@ -38,6 +39,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 from scipy.integrate import quad
 
+from .bounds import _SideSums, _sherman_link
 from .convexity import FunctionSpec, _first_outside, resolve_modulus
 from .errors import (
     KernelConditionIndefinite,
@@ -124,15 +126,23 @@ def _integrate_pieces(integrand, cuts: np.ndarray, tol: float) -> float:
 
     Pieces that :func:`_first_step` rejects go, in order, to ``quad`` with
     ``epsabs = tol / pieces`` and ``epsrel = tol``: every piece meets what
-    ``quad`` requires.  The summed error estimate must stay within
+    ``quad`` requires.  A non-finite integrand value there raises
+    ``ValidationError``.  The summed error estimate must stay within
     ``max(10 tol, 10 tol |total|)``.
     """
     result, abserr, accepted = _first_step(integrand, cuts, tol)
     if not np.isfinite(result).all():
         raise ValidationError("an integral over a piece overflows the float range")
+
+    def finite_integrand(t, i):
+        value = integrand(t, i)
+        if not math.isfinite(value):
+            raise ValidationError(f"the integrand is {value} at {t}: it overflows the float range")
+        return value
+
     for i in np.flatnonzero(~accepted).tolist():
         lo, hi = float(cuts[i]), float(cuts[i + 1])
-        out = quad(integrand, lo, hi, args=(i,), epsabs=tol / result.size,
+        out = quad(finite_integrand, lo, hi, args=(i,), epsabs=tol / result.size,
                    epsrel=tol, limit=MAX_SUBDIVISIONS, full_output=1)
         if len(out) == 4:
             raise QuadratureFailure(f"integration on [{lo}, {hi}] failed: {out[3].strip()}")
@@ -447,7 +457,8 @@ def sherman_difference_identity(
         MajorizationNotVerified: if either moment condition fails.
         MissingDerivative: if derivatives up to order ``n`` are missing.
         ValidationError: if ``lhs``, the endpoint sum, the kernel weight, a
-            piece's first integral estimate or the residual is not finite.
+            piece's first integral estimate, an integrand value ``quad``
+            meets or the residual is not finite.
         QuadratureFailure: if the integrator gives up.
     """
     if not (math.isfinite(quad_tol) and quad_tol > 0):
@@ -479,9 +490,9 @@ def _difference_terms(
 ) -> tuple[float, float]:
     """``lhs`` and the endpoint sum of :func:`sherman_difference_identity` for ``f - c*t^n``.
 
-    Checks everything the identity checks, without integrating.  Every value
-    of ``f^(k)``, the interval's ends included, comes from :meth:`.FunctionSpec.evaluate`;
-    ``c = 0`` subtracts nothing, so an infinite ``t^n`` cannot make a finite term NaN.
+    Checks everything the identity checks, without integrating.  ``lhs`` is the
+    strong link of :func:`.bounds._sherman_link` at order ``n`` minus ``S_b f(y)``;
+    ``S_w(z)`` are its power sums, and ``g^(k)`` is shifted at the ends only.
 
     Raises:
         MajorizationNotVerified: if either moment condition fails.
@@ -494,7 +505,6 @@ def _difference_terms(
     spec.require_inside(y.points)
     spec.derivative(n)  # fail fast if unavailable
     al, be = spec.interval
-    width = be - al
 
     sa, sb = x.weight_sum, y.weight_sum
     max1, may1 = x._first_moment, y._first_moment
@@ -504,20 +514,18 @@ def _difference_terms(
     if abs(max1 - may1) > guard:
         raise MajorizationNotVerified(f"first moments differ: {max1} vs {may1}")
 
-    def g(points, k):  # g^(k) = f^(k) - c n!/(n-k)! t^(n-k)
-        values = spec.evaluate(points, k)
-        return values - c * math.perm(n, k) * points ** (n - k) if c else values
-
-    def s(z, w):  # S_w(z) = S_a (x-z)^w - S_b (y-z)^w
-        return float(x.weights @ (x.points - z) ** w) - float(y.weights @ (y.points - z) ** w)
-
+    xs, ys = _SideSums(x.points, x.weights, spec), _SideSums(y.points, y.weights, spec)
     with np.errstate(all="ignore"):  # a non-finite result raises below
-        lhs = float(x.weights @ g(x.points, 0)) - float(y.weights @ g(y.points, 0))
+        lhs_y, strong, _, _ = _sherman_link(xs, ys, c, n)
         boundary = 0.0
         for w in range(2, n):
-            g_al, g_be = g(np.array(spec.interval), w - 1)
-            boundary += (n - w) / math.factorial(w) * (g_be * s(be, w) - g_al * s(al, w)) / width
-    return _finite(lhs, float(boundary))
+            g = spec.evaluate(spec.interval, w - 1)  # g^(k) = f^(k) - c n!/(n-k)! t^(n-k)
+            if c:
+                g = g - c * math.perm(n, w - 1) * np.array(spec.interval) ** (n - w + 1)
+            s_al = xs.power(w, al) - ys.power(w, al)  # S_w(z) = S_a (x-z)^w - S_b (y-z)^w
+            s_be = xs.power(w, be) - ys.power(w, be)
+            boundary += (n - w) / math.factorial(w) * (g[1] * s_be - g[0] * s_al) / (be - al)
+    return _finite(strong - lhs_y, float(boundary))
 
 
 class HigherOrderBound(NamedTuple):
@@ -551,9 +559,9 @@ def higher_order_sherman_bound(
     ``g^(n) >= 0`` against it then leaves a valid inequality between the
     shifted difference and its endpoint-derivative sum.  Nothing is
     integrated: one Bernstein certificate of :func:`check_kernel_condition`
-    proves the sign, and the two sides are the identity's ``lhs`` and
-    endpoint terms with ``c * n!/(n-k)! * t^(n-k)`` subtracted from every
-    value of ``f^(k)`` (nothing for ``c = 0``).
+    proves the sign.  The sides are ``S_a f(x) - c (S_a x^n - S_b y^n) - S_b f(y)``
+    and the identity's endpoint terms with ``c * n!/(n-k)! * t^(n-k)``
+    subtracted from ``f^(k)`` at both ends (nothing for ``c = 0``).
 
     Raises:
         ValueError: unless ``c`` is finite and nonnegative.

@@ -126,7 +126,8 @@ class WeightedVector:
     def _memoized(self, key, compute):
         """The memo entry ``key``, filled by ``compute()`` on first use."""
         if key not in self._memo:
-            self._memo[key] = compute()
+            with np.errstate(over="ignore"):  # an overflowing term fails the fsum
+                self._memo[key] = compute()
         return self._memo[key]
 
     @property
@@ -136,8 +137,7 @@ class WeightedVector:
     @property
     def _first_moment(self) -> float:
         """``fsum`` of ``weights * points``."""
-        with np.errstate(over="ignore"):  # an overflowing term fails the fsum
-            return self._memoized("first_moment", lambda: _fsum((self.weights * self.points).tolist()))
+        return self._memoized("first_moment", lambda: _fsum((self.weights * self.points).tolist()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -426,8 +426,8 @@ def generate_weighted_pair(x, b, matrix: StochasticMatrix) -> tuple[np.ndarray, 
     :func:`verify_weighted_majorization` by construction.
 
     Raises:
-        ValidationError: if ``matrix`` is only column-stochastic, or ``b``
-            has negative entries.
+        ValidationError: if ``matrix`` is only column-stochastic, ``b``
+            has negative entries, or a product overflows.
         DimensionMismatch: if the shape does not match ``x`` and ``b``.
     """
     if matrix.kind == "column":
@@ -441,4 +441,8 @@ def generate_weighted_pair(x, b, matrix: StochasticMatrix) -> tuple[np.ndarray, 
         raise DimensionMismatch(
             f"matrix shape {matrix.shape} incompatible with sizes ({ba.size}, {xa.size})"
         )
-    return matrix.entries @ xa, ba @ matrix.entries
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing product raises below
+        y, a = matrix.entries @ xa, ba @ matrix.entries
+    if not (np.isfinite(y).all() and np.isfinite(a).all()):
+        raise ValidationError("a sum overflows the float range")
+    return y, a

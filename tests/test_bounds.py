@@ -503,3 +503,29 @@ class TestOverflowingLinks:
         witness = StochasticMatrix([[0.5, 0.5]], "row")
         with pytest.raises(ModulusNotCertified, match="indeterminate"):
             full_chain(x, WeightedVector([500.0], [1.0]), witness, spec)
+
+
+class TestZeroModulusReadsNoPowerSum:
+    """At c = 0 no link reads a power sum or the spread, so one that overflows cannot make it NaN."""
+
+    NEG_LOG = function_from_name("neg_log", (0.5, 1e160))
+    MEAN = StochasticMatrix([[0.5, 0.5]], "row")
+
+    def test_chain_at_an_explicit_zero_modulus(self):
+        # S_a x^2 = S_b y^2 = inf, and 0 * (inf - inf) made every chain NaN
+        x, y = WeightedVector([1.0, 1e160], [1.0, 1.0]), WeightedVector([5e159 + 0.5], [2.0])
+        chain = full_chain(x, y, self.MEAN, self.NEG_LOG, 0.0)
+        assert chain.chain_holds
+        assert chain.correction_quadratic == 0.0 and chain.strong_bound == chain.plain_bound
+
+    def test_chain_at_a_certified_zero_modulus(self):
+        # f'' = 1/t^2 underflows to 0 at 1e170, so the certified modulus is 0.0
+        spec = function_from_name("neg_log", (1e-3, 1e170))
+        x, y = WeightedVector([1.0, 1e170], [1.0, 1.0]), WeightedVector([5e169 + 0.5], [2.0])
+        chain = full_chain(x, y, self.MEAN, spec)
+        assert chain.modulus == 0.0 and chain.chain_holds
+
+    def test_converse_at_zero_modulus(self):
+        # S_a (beta - x)(x - alpha) = inf, and 0 * inf made the bound NaN
+        bound = converse_sherman_strong(WeightedVector([1.0, 5e159], [1.0, 1.0]), self.NEG_LOG, 0.0)
+        assert math.isfinite(bound)

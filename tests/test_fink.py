@@ -803,6 +803,23 @@ class TestHigherOrderBound:
                 higher_order_sherman_bound(
                     x, y, function_from_name("pow:2", (-1e200, 1e200)), 2, 0.5)
 
+    @pytest.mark.parametrize("name, interval", [
+        ("square", (-1.0, 2.0)), ("exp", (0.0, 1.0)), ("xlogx", (0.1, 3.0)),
+        ("neg_log", (0.5, 4.0)), ("pow:3", (0.0, 2.0)),
+    ])
+    def test_order_two_is_the_chains_strong_margin(self, name, interval):
+        # both read the one strong link: its strong side minus S_b f(y), bit for bit
+        spec = function_from_name(name, interval)
+        certified = estimate_strong_modulus(spec, 2).modulus
+        rng = np.random.default_rng(59)
+        for _ in range(20):
+            x, y, witness = random_chain_instance(rng, interval)
+            for c in (certified, 0.0):
+                chain = full_chain(x, y, witness, spec, c)
+                bound = higher_order_sherman_bound(x, y, spec, 2, c)
+                assert bound.lhs_with_correction == chain.strong_bound - chain.lhs
+                assert bound.rhs_boundary == 0.0
+
     @pytest.mark.parametrize("n", [2, 3, 4])
     @pytest.mark.parametrize("name, interval", SHIFT_SPECS)
     def test_zero_modulus_is_the_identity(self, name, interval, n):

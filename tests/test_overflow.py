@@ -9,6 +9,7 @@ certificate over a non-finite weight, and the minimum of an
 """
 
 import dataclasses
+import json
 import math
 import warnings
 
@@ -29,10 +30,12 @@ from sherman_bounds import (
     check_kernel_condition,
     converse_sherman_strong,
     csiszar_divergence,
+    divided_difference,
     divergence_bounds,
     estimate_strong_modulus,
     full_chain,
     function_from_name,
+    generate_weighted_pair,
     get_kernel,
     higher_order_sherman_bound,
     jensen_strong,
@@ -82,6 +85,14 @@ class TestReproducers:
         with pytest.raises(ValidationError, match="integral over a piece overflows"):
             no_warning(sherman_difference_identity, x, y, spec, 2)
 
+    def test_identity_refuses_a_non_finite_integrand_in_quad(self):
+        # the first step of the last piece is finite, but quad's later nodes
+        # overflow math.exp to NaN: quad gave up with "roundoff error is detected"
+        spec = FunctionSpec("e", math.exp, (math.exp,) * 3, (0.0, 709.9))
+        x, y = WeightedVector([0.0, 600.0], [1.0, 1.0]), WeightedVector([300.0], [2.0])
+        with pytest.raises(ValidationError, match="integrand is nan"):
+            no_warning(sherman_difference_identity, x, y, spec, 2)
+
     def test_scalar_callable_that_overflows_on_a_zero_d_array_is_nan(self):
         # quad passes one float, which evaluate wraps as a 0-d array math.exp accepts
         spec = FunctionSpec("e", math.exp, (), (0.0, 1000.0))
@@ -127,6 +138,22 @@ class TestReproducers:
         y = WeightedVector([1.0, 1.0], [1.7e308, 1.7e308])
         with pytest.raises(ValidationError, match="a sum overflows the float range"):
             no_warning(verify_weighted_majorization, x, y, StochasticMatrix([[1.0], [1.0]], "row"))
+
+    def test_pair_generation_rejects_an_overflowing_product(self, tmp_path, capsys):
+        # b A overflowed in the matmul, and the chain command went on with a = [inf]
+        args = ([1.0], [1.7e308, 1.7e308], [[1.0], [1.0]])
+        with pytest.raises(ValidationError, match="a sum overflows the float range"):
+            no_warning(generate_weighted_pair, *args[:2], StochasticMatrix(args[2], "row"))
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps(dict(zip(("x", "b", "A"), args))))
+        assert no_warning(main, ["chain", "--input", str(path), "--kernel", "exp"]) == 2
+        assert "a sum overflows" in capsys.readouterr().out
+
+    def test_divided_difference_refuses_a_non_finite_value(self):
+        # 0 lies within the interval's slack, where t log t is 0 * -inf
+        xlogx = function_from_name("xlogx", (1e-300, 1.0))
+        with pytest.raises(ValidationError, match="not finite"):
+            no_warning(divided_difference, [0.0, 0.5], xlogx)
 
     def test_witness_construction_rejects_an_overflowing_spread(self):
         # a T-step divided by v[j] - v[k] = inf and then by zero
@@ -240,7 +267,10 @@ def test_chain_entry_points_keep_the_overflow_contract(instance):
     spec = checked(function_from_name, name, interval)
     xv, yv = checked(WeightedVector, x, a), checked(WeightedVector, y, b)
     witness = checked(StochasticMatrix, matrix, "row")
+    if witness is not None:
+        checked(generate_weighted_pair, x, b, witness)
     if spec is not None:
+        checked(divided_difference, x, spec)
         for order in (2, n):
             checked(estimate_strong_modulus, spec, order)
         normalized = checked(WeightedVector, x, normalized)
